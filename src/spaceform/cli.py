@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 from . import __version__
@@ -145,14 +146,12 @@ def emit(report: dict, args) -> None:
 def cmd_monoid(args) -> int:
     ctx = _resolve_context(args)
     m = ctx.group.order
+    samples: dict[int, list[int]] = defaultdict(list)
+    for x in ctx.elements_in_window(args.window):
+        samples[x.alpha].append(x.k)
     rows = []
     for e in ctx.endos:
         d = ctx.dhom(e.canonical_index).value
-        samples = [
-            x.k
-            for x in ctx.elements_in_window(args.window)
-            if x.alpha == e.canonical_index
-        ]
         rows.append(
             {
                 "endo": e.canonical_index,
@@ -160,7 +159,7 @@ def cmd_monoid(args) -> int:
                 "automorphism": e.is_automorphism,
                 "d": d,
                 "coset": f"{d} + {m}Z",
-                "degrees_in_window": " ".join(map(str, samples)),
+                "degrees_in_window": " ".join(map(str, samples[e.canonical_index])),
             }
         )
     shown = min(len(ctx.endos), 10)

@@ -109,7 +109,9 @@ class HomValidationReport:
         }
 
 
-def _law_failures(g: FiniteGroup, values: tuple[Residue, ...]) -> list[LawFailure]:
+def _law_failures(
+    g: FiniteGroup, values: tuple[Residue, ...], comp: tuple[tuple[int, ...], ...]
+) -> list[LawFailure]:
     endos = enumerate_endomorphisms(g)
     m = g.order
     failures: list[LawFailure] = []
@@ -122,18 +124,17 @@ def _law_failures(g: FiniteGroup, values: tuple[Residue, ...]) -> list[LawFailur
                 f"d(identity endo {ident}) = {values[ident].value}, expected {1 % m}",
             )
         )
-    comp = composition_table(g)
-    for i in range(len(endos)):
-        di = values[i].value
-        row = comp[i]
-        for j in range(len(endos)):
-            if values[row[j]].value != di * values[j].value % m:
+    d = [r.value for r in values]
+    for i, row in enumerate(comp):
+        di = d[i]
+        for j, c in enumerate(row):
+            if d[c] != di * d[j] % m:
                 failures.append(
                     LawFailure(
                         "multiplicativity",
                         (i, j),
-                        f"d(endo {i} o endo {j}) = {values[row[j]].value} "
-                        f"!= d({i})*d({j}) = {di * values[j].value % m} mod {m}",
+                        f"d(endo {i} o endo {j}) = {d[c]} "
+                        f"!= d({i})*d({j}) = {di * d[j] % m} mod {m}",
                     )
                 )
     for e in endos:
@@ -153,8 +154,13 @@ def build_degree_hom(
     g: FiniteGroup,
     n: int,
     user_table: dict[int, int] | None = None,
+    comp: tuple[tuple[int, ...], ...] | None = None,
 ) -> DegreeHom:
-    """Construct d for (G, n); cyclic groups need no table."""
+    """Construct d for (G, n); cyclic groups need no table.
+
+    A user table is law-checked against ``comp``, the composition table
+    of G, computed here unless the caller already holds it.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     endos = enumerate_endomorphisms(g)
@@ -173,7 +179,9 @@ def build_degree_hom(
             f"d-table missing entries for endomorphism indices {missing}"
         )
     values = tuple(Residue(user_table[e.canonical_index], g.order) for e in endos)
-    failures = _law_failures(g, values)
+    if comp is None:
+        comp = composition_table(g)
+    failures = _law_failures(g, values, comp)
     for f in failures:
         if f.law == "multiplicativity":
             raise NotAHomomorphismError(f.message, witness=(f.witness[0], f.witness[1]))
@@ -184,7 +192,7 @@ def build_degree_hom(
 
 def validate_degree_hom(d: DegreeHom) -> HomValidationReport:
     """Certify the homomorphism laws; failures carry explicit witnesses."""
-    failures = _law_failures(d.group, d.values)
+    failures = _law_failures(d.group, d.values, composition_table(d.group))
     return HomValidationReport(passed=not failures, failures=tuple(failures))
 
 

@@ -1,9 +1,16 @@
 """Exhaustive enumeration of End(G) and Aut(G) over Cayley-table groups.
 
-The search fixes a small generating set (greedy closure), enumerates
-candidate images for the generators only, and extends each candidate by
-closure, rejecting on any homomorphism-law violation.  That prunes the
-naive |G|^|G| space down to |G|^(#generators).
+An endomorphism is fixed by its images on a generating set S (greedy
+closure), so the search runs over generator images only: |G|^|S|
+candidates instead of |G|^|G|, minus every candidate image whose order
+does not divide the order of its generator.  Each candidate is extended
+by a breadth-first walk of the right Cayley graph from phi(0) = 0,
+checking phi(x*s) = phi(x)*phi(s) on every edge (x, s) with s in S.
+Those |G|*|S| edge checks imply the homomorphism law on all of G x G
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 2-3).
+
+The same fact keys composition: a o b is found by its images on S,
+a(b(s)), so each entry of the composition table costs O(|S|).
 """
 
 from __future__ import annotations
@@ -11,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DomainMismatchError, SizeCapError
-from .groups import FiniteGroup, max_order
+from .groups import FiniteGroup, element_order, max_order
 
 
 @dataclass(frozen=True)
@@ -48,90 +56,105 @@ def generating_set(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _extend(g: FiniteGroup, gens: list[int], imgs: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Extend generator images to a full endomorphism, or None on conflict.
+def _cayley_edges(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
+    """Edges (x, i, x*gens[i]) of the right Cayley graph, in BFS order from 0.
 
-    Every pair of assigned elements is eventually checked, so a returned
-    image array satisfies the homomorphism law on all of G x G.
+    Every edge's source is reached by an earlier edge (or is 0).
     """
     t = g.table
-    phi: list[int | None] = [None] * g.order
+    seen = [False] * g.order
+    seen[0] = True
+    queue = [0]
+    edges = []
+    for x in queue:  # the queue grows while it is walked
+        for i, s in enumerate(gens):
+            y = t[x][s]
+            edges.append((x, i, y))
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+    return edges
+
+
+def _extend(
+    g: FiniteGroup, edges: list[tuple[int, int, int]], imgs: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Extend generator images to a full endomorphism, or None on conflict.
+
+    phi(x*s) = phi(x)*phi(s) holds on every Cayley-graph edge of a
+    returned image array, hence on all of G x G.
+    """
+    t = g.table
+    phi = [-1] * g.order
     phi[0] = 0
-    known = [0]
-    pending: list[int] = []
-    for gen, img in zip(gens, imgs):
-        if phi[gen] is None:
-            phi[gen] = img
-            known.append(gen)
-            pending.append(gen)
-        elif phi[gen] != img:
+    for x, i, y in edges:
+        v = t[phi[x]][imgs[i]]
+        if phi[y] < 0:
+            phi[y] = v
+        elif phi[y] != v:
             return None
-    while pending:
-        a = pending.pop()
-        fa = phi[a]
-        for b in list(known):
-            fb = phi[b]
-            for c, fc in ((t[a][b], t[fa][fb]), (t[b][a], t[fb][fa])):
-                known_c = phi[c]
-                if known_c is None:
-                    phi[c] = fc
-                    known.append(c)
-                    pending.append(c)
-                elif known_c != fc:
-                    return None
-    return tuple(phi)  # type: ignore[arg-type]
+    return tuple(phi)
+
+
+class _EndData(NamedTuple):
+    """End(G) in canonical order, indexed by images of the generating set."""
+
+    endos: tuple[Endomorphism, ...]
+    gens: tuple[int, ...]
+    index: dict[tuple[int, ...], int]  # generator images -> canonical index
 
 
 @lru_cache(maxsize=None)
-def _enumerate(g: FiniteGroup) -> tuple[Endomorphism, ...]:
+def _enumerate(g: FiniteGroup) -> _EndData:
     if g.order > max_order():
         raise SizeCapError(f"order {g.order} exceeds cap {max_order()}")
     gens = generating_set(g)
-    found: set[tuple[int, ...]] = set()
-    if not gens:  # trivial group
-        found.add((0,))
-    for imgs in product(range(g.order), repeat=len(gens)):
-        phi = _extend(g, gens, imgs)
+    orders = [element_order(g, x) for x in range(g.order)]
+    candidates = [
+        [y for y in range(g.order) if orders[s] % orders[y] == 0] for s in gens
+    ]
+    edges = _cayley_edges(g, gens)
+    found = []
+    for imgs in product(*candidates):
+        phi = _extend(g, edges, imgs)
         if phi is not None:
-            found.add(phi)
-    ordered = sorted(found)
-    return tuple(
+            found.append(phi)
+    found.sort()
+    endos = tuple(
         Endomorphism(
             group=g,
             images=images,
             is_automorphism=len(set(images)) == g.order,
             canonical_index=i,
         )
-        for i, images in enumerate(ordered)
+        for i, images in enumerate(found)
     )
+    index = {tuple(images[s] for s in gens): i for i, images in enumerate(found)}
+    return _EndData(endos, tuple(gens), index)
 
 
 def enumerate_endomorphisms(g: FiniteGroup) -> list[Endomorphism]:
     """All endomorphisms of G, sorted lexicographically by image array."""
-    return list(_enumerate(g))
+    return list(_enumerate(g).endos)
 
 
 def enumerate_automorphisms(g: FiniteGroup) -> list[Endomorphism]:
     """The automorphisms among :func:`enumerate_endomorphisms`, same indexing."""
-    return [e for e in _enumerate(g) if e.is_automorphism]
-
-
-@lru_cache(maxsize=None)
-def _index_of(g: FiniteGroup) -> dict[tuple[int, ...], int]:
-    return {e.images: e.canonical_index for e in _enumerate(g)}
+    return [e for e in _enumerate(g).endos if e.is_automorphism]
 
 
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """(a o b)(x) = a(b(x)), resolved against the canonical enumeration."""
     if a.group != b.group:
         raise DomainMismatchError("cannot compose endomorphisms of different groups")
-    images = tuple(a.images[v] for v in b.images)
-    return _enumerate(a.group)[_index_of(a.group)[images]]
+    data = _enumerate(a.group)
+    key = tuple(a.images[b.images[s]] for s in data.gens)
+    return data.endos[data.index[key]]
 
 
 def identity_endomorphism(g: FiniteGroup) -> Endomorphism:
-    idx = _index_of(g)[tuple(range(g.order))]
-    return _enumerate(g)[idx]
+    data = _enumerate(g)
+    return data.endos[data.index[data.gens]]
 
 
 def endomorphisms_to_json(endos: list[Endomorphism]) -> list[list[int]]:
@@ -141,9 +164,13 @@ def endomorphisms_to_json(endos: list[Endomorphism]) -> list[list[int]]:
 
 def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Index-level composition: entry [i][j] is the index of endo_i o endo_j."""
-    endos = _enumerate(g)
-    index = _index_of(g)
-    return tuple(
-        tuple(index[tuple(a.images[v] for v in b.images)] for b in endos)
-        for a in endos
-    )
+    endos, gens, index = _enumerate(g)
+    if not gens:  # trivial group
+        return ((0,),)
+    by_point = list(zip(*(a.images for a in endos)))  # by_point[v][i] = endo_i(v)
+    # column j: the key of endo_i o endo_j is (endo_i(endo_j(s)) for s in gens)
+    columns = [
+        map(index.__getitem__, zip(*(by_point[b.images[s]] for s in gens)))
+        for b in endos
+    ]
+    return tuple(zip(*columns))

@@ -36,6 +36,10 @@ class SizeCapError(InputError):
     """Group order exceeds the configured cap (SPACEFORM_MAX_ORDER)."""
 
 
+class InvalidCapError(InputError):
+    """SPACEFORM_MAX_ORDER is set but is not a positive integer."""
+
+
 class DomainMismatchError(InputError):
     """Operands belong to different groups or monoid contexts."""
 

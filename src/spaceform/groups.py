@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .errors import (
+    InvalidCapError,
     InvalidOrderError,
     NotAGroupError,
     SizeCapError,
@@ -27,7 +28,17 @@ DEFAULT_MAX_ORDER = 128
 def max_order() -> int:
     """Current order cap; overridable via SPACEFORM_MAX_ORDER."""
     raw = os.environ.get("SPACEFORM_MAX_ORDER")
-    return int(raw) if raw else DEFAULT_MAX_ORDER
+    if not raw:
+        return DEFAULT_MAX_ORDER
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidCapError(
+            f"SPACEFORM_MAX_ORDER must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,16 @@ class FiniteGroup:
 
     def is_cyclic(self) -> bool:
         return any(element_order(self, x) == self.order for x in range(self.order))
+
+    @cached_property
+    def _hash(self) -> int:
+        # Equal groups have equal tables.  A table of ints hashes the same in
+        # every process, so the cached value survives pickling.
+        return hash(self.table)
+
+    def __hash__(self) -> int:
+        # hashing the table costs O(|G|^2), and every cache keyed by the group pays it
+        return self._hash
 
     def __repr__(self) -> str:
         label = self.name or "group"

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .degree import DegreeHom, Residue, build_degree_hom
-from .endomorphisms import Endomorphism, enumerate_endomorphisms, identity_endomorphism
+from .endomorphisms import (
+    Endomorphism,
+    composition_table,
+    enumerate_endomorphisms,
+    identity_endomorphism,
+)
 from .errors import DomainMismatchError, NotRealizableError
 from .groups import FiniteGroup
 
@@ -23,6 +28,11 @@ class SpaceFormElement(NamedTuple):
 
     alpha: int
     k: int
+
+
+# What SpaceFormElement(alpha, k) calls, without the Python-level __new__
+# frame; multiply builds its result this way on the hot path.
+_new_element = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -62,16 +72,21 @@ class EquivalenceGroup:
 class MonoidContext:
     """Everything needed to do arithmetic in M(G, n)."""
 
-    def __init__(self, group: FiniteGroup, n: int, dhom: DegreeHom):
+    def __init__(
+        self,
+        group: FiniteGroup,
+        n: int,
+        dhom: DegreeHom,
+        comp: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        """``comp`` is the composition table of ``group``, if already computed."""
         if dhom.group != group or dhom.n != n:
             raise DomainMismatchError("degree homomorphism does not match (G, n)")
         self.group = group
         self.n = n
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
-        from .endomorphisms import composition_table
-
-        self._comp = composition_table(group)
+        self._comp = composition_table(group) if comp is None else comp
         self._d = tuple(r.value for r in dhom.values)
         self._order = group.order
         self._size = len(self.endos)
@@ -126,7 +141,7 @@ class MonoidContext:
             raise DomainMismatchError(
                 "operand is not a valid element of this monoid context"
             )
-        return SpaceFormElement(self._comp[xa][ya], xk * yk)
+        return _new_element(SpaceFormElement, (self._comp[xa][ya], xk * yk))
 
     def is_invertible(self, x: SpaceFormElement) -> bool:
         if not self.is_valid(x):
@@ -189,5 +204,10 @@ class MonoidContext:
 def monoid_context(
     group: FiniteGroup, n: int, user_table: dict[int, int] | None = None
 ) -> MonoidContext:
-    """Build M(G, n), using the built-in d for cyclic groups."""
-    return MonoidContext(group, n, build_degree_hom(group, n, user_table))
+    """Build M(G, n), using the built-in d for cyclic groups.
+
+    A user d-table is law-checked against the same composition table the
+    context multiplies with, so the table is computed once either way.
+    """
+    comp = None if user_table is None else composition_table(group)
+    return MonoidContext(group, n, build_degree_hom(group, n, user_table, comp), comp)

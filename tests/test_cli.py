@@ -269,3 +269,11 @@ class TestInfrastructure:
     def test_invalid_order_is_input_error(self, capsys):
         code, _, _ = run(capsys, "monoid", "--group", "cyclic:0", "--n", "1")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_order_cap_is_input_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SPACEFORM_MAX_ORDER", raw)
+        code, out, err = run(capsys, "monoid", "--group", "cyclic:5", "--n", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "SPACEFORM_MAX_ORDER" in err

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -11,6 +12,8 @@ from spaceform import (
     rank_one_check,
 )
 from spaceform.errors import (
+    InputError,
+    InvalidCapError,
     InvalidOrderError,
     NotAGroupError,
     SizeCapError,
@@ -172,6 +175,35 @@ class TestDirectProduct:
         monkeypatch.setenv("SPACEFORM_MAX_ORDER", "150")
         g = make_cyclic(130)
         assert g.order == 130
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "12.5"])
+    def test_bad_cap_is_typed_input_error(self, monkeypatch, raw):
+        monkeypatch.setenv("SPACEFORM_MAX_ORDER", raw)
+        with pytest.raises(InvalidCapError, match="SPACEFORM_MAX_ORDER") as exc:
+            make_cyclic(4)
+        assert isinstance(exc.value, InputError)
+        assert not isinstance(exc.value, ValueError)
+
+
+class TestHash:
+    def test_hash_is_stable_and_matches_equal_groups(self):
+        a, b = make_cyclic(12), make_cyclic(12)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(a) == hash(b)
+
+    def test_hash_survives_a_pickle_round_trip(self):
+        a = make_cyclic(8)
+        hash(a)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a) == hash(make_cyclic(8))
+        assert {a: 1}[b] == 1
+
+    def test_equality_ignores_the_cached_hash(self):
+        a, b = make_cyclic(6), make_cyclic(6)
+        hash(a)  # only a has its hash cached
+        assert a == b and b == a
+        assert make_cyclic(6) != direct_product(make_cyclic(2), make_cyclic(3))
 
 
 class TestGroupFiles:
