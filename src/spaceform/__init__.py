@@ -6,7 +6,7 @@ exact integer arithmetic, with an independent oracle for
 cross-validation on cyclic groups.
 """
 
-from .degree import DegreeHom, Residue, build_degree_hom, d_cyclic, validate_degree_hom
+from .degree import DegreeHom, build_degree_hom, validate_degree_hom
 from .endomorphisms import (
     Endomorphism,
     compose,
@@ -43,7 +43,6 @@ __all__ = [
     "FiniteGroup",
     "MonoidContext",
     "OracleContext",
-    "Residue",
     "SelfMapClass",
     "SpaceFormElement",
     "build_degree_hom",
@@ -51,7 +50,6 @@ __all__ = [
     "compose",
     "compose_selfmaps",
     "cross_check",
-    "d_cyclic",
     "direct_product",
     "element_order",
     "enumerate_automorphisms",

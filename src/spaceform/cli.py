@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .degree import load_dtable, validate_degree_hom
 from .errors import (
+    GroupSpecError,
     InputError,
     InvalidDimensionError,
     SpaceformError,
@@ -43,15 +45,17 @@ EXIT_INTERNAL = 3
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     kind, _, arg = spec.partition(":")
-    if kind == "cyclic":
-        return make_cyclic(int(arg))
-    if kind == "quaternion":
-        return make_generalized_quaternion(int(arg))
     if kind == "table":
         return load_group(arg)
-    raise InputError(
-        f"unknown group spec {spec!r}; use cyclic:m, quaternion:4k, or table:path"
-    )
+    if kind not in ("cyclic", "quaternion"):
+        raise GroupSpecError(
+            f"unknown group spec {spec!r}; use cyclic:m, quaternion:4k, or table:path"
+        )
+    try:
+        order = int(arg)
+    except ValueError:
+        raise GroupSpecError(f"group spec {spec!r}: the order must be an integer") from None
+    return make_cyclic(order) if kind == "cyclic" else make_generalized_quaternion(order)
 
 
 def _resolve_context(args) -> MonoidContext:
@@ -151,7 +155,7 @@ def cmd_monoid(args) -> int:
         samples[x.alpha].append(x.k)
     rows = []
     for e in ctx.endos:
-        d = ctx.dhom(e.canonical_index).value
+        d = ctx.dhom(e.canonical_index)
         rows.append(
             {
                 "endo": e.canonical_index,
@@ -164,7 +168,7 @@ def cmd_monoid(args) -> int:
         )
     shown = min(len(ctx.endos), 10)
     reps = [
-        (i, coset_representative(ctx.dhom(i).value, m)) for i in range(shown)
+        (i, coset_representative(ctx.dhom(i), m)) for i in range(shown)
     ]
     product_rows = [
         {
@@ -273,7 +277,7 @@ def cmd_degrees(args) -> int:
         "command": "degrees",
         "group": ctx.group.name,
         "n": ctx.n,
-        "realizable_residues": sorted(r.value for r in ctx.realizable_degrees()),
+        "realizable_residues": sorted(ctx.realizable_degrees()),
         "rows": rows,
     }
     emit(report, args)
@@ -281,8 +285,6 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_check(args) -> int:
-    import random
-
     group = parse_group_spec(args.group)
     suites: list[dict] = []
     ok = True
@@ -341,7 +343,7 @@ def cmd_check(args) -> int:
     )
     ok &= failures == 0 and closure_ok
 
-    if group.is_cyclic():
+    if group.cyclic_generator is not None:
         cc = cross_check(group, args.n, args.window)
         suites.append(
             {

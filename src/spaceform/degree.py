@@ -1,7 +1,8 @@
 """The degree homomorphism d: End(G) -> (Z/|G|)_x.
 
-For a cyclic group of order m acting on S^{2n+1}, an endomorphism given
-by the residue r has d(r) = r^{n+1} mod m, and this is built in.  For
+Values are plain ints, least non-negative residues mod |G|.  For a
+cyclic group of order m acting on S^{2n+1}, an endomorphism given by
+the residue r has d(r) = r^{n+1} mod m, and this is built in.  For
 any other group the table must be supplied by the user and is accepted
 only if it satisfies the monoid-homomorphism laws, checked exhaustively.
 """
@@ -9,6 +10,7 @@ only if it satisfies the monoid-homomorphism laws, checked exhaustively.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -20,50 +22,23 @@ from .endomorphisms import (
     identity_endomorphism,
 )
 from .errors import (
+    DTableFormatError,
     IncompleteTableError,
     InvalidTableError,
     NotAHomomorphismError,
     UnsupportedGroupError,
 )
-from .groups import FiniteGroup, cyclic_generator
+from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An integer mod m, stored as its least non-negative representative."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise ValueError("residue moduli differ")
-        return Residue(self.value * other.value, self.modulus)
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
-
-
-def d_cyclic(r: Residue, n: int) -> Residue:
-    """d(r) = r^{n+1} mod m, by fast modular exponentiation."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return Residue(pow(r.value, n + 1, r.modulus), r.modulus)
-
-
-def endo_residue(e: Endomorphism) -> Residue:
+def endo_residue(e: Endomorphism) -> int:
     """The residue r with e(z) = z^r for a generator z of a cyclic group.
 
     Independent of the choice of generator: if w = z^s then e(w) = w^r
     for the same r.
     """
     g = e.group
-    z = cyclic_generator(g)
+    z = g.cyclic_generator
     if z is None:
         raise UnsupportedGroupError(f"{g!r} is not cyclic")
     target = e.images[z]
@@ -71,19 +46,22 @@ def endo_residue(e: Endomorphism) -> Residue:
     while acc != target:
         acc = g.table[acc][z]
         r += 1
-    return Residue(r, g.order)
+    return r
 
 
 @dataclass(frozen=True)
 class DegreeHom:
-    """Table of d over the canonical endomorphism enumeration."""
+    """Table of d over the canonical endomorphism enumeration.
+
+    Each value is the least non-negative residue of d(alpha) mod |G|.
+    """
 
     group: FiniteGroup
     n: int
-    values: tuple[Residue, ...]
+    values: tuple[int, ...]
     provenance: str  # "builtin-cyclic" | "user-supplied"
 
-    def __call__(self, endo_index: int) -> Residue:
+    def __call__(self, endo_index: int) -> int:
         return self.values[endo_index]
 
 
@@ -110,21 +88,20 @@ class HomValidationReport:
 
 
 def _law_failures(
-    g: FiniteGroup, values: tuple[Residue, ...], comp: tuple[tuple[int, ...], ...]
+    g: FiniteGroup, d: tuple[int, ...], comp: tuple[tuple[int, ...], ...]
 ) -> list[LawFailure]:
     endos = enumerate_endomorphisms(g)
     m = g.order
     failures: list[LawFailure] = []
     ident = identity_endomorphism(g).canonical_index
-    if values[ident].value != 1 % m:
+    if d[ident] != 1 % m:
         failures.append(
             LawFailure(
                 "identity",
                 (ident,),
-                f"d(identity endo {ident}) = {values[ident].value}, expected {1 % m}",
+                f"d(identity endo {ident}) = {d[ident]}, expected {1 % m}",
             )
         )
-    d = [r.value for r in values]
     for i, row in enumerate(comp):
         di = d[i]
         for j, c in enumerate(row):
@@ -138,13 +115,13 @@ def _law_failures(
                     )
                 )
     for e in endos:
-        if e.is_automorphism and gcd(values[e.canonical_index].value, m) != 1:
+        if e.is_automorphism and gcd(d[e.canonical_index], m) != 1:
             failures.append(
                 LawFailure(
                     "unit",
                     (e.canonical_index,),
                     f"automorphism {e.canonical_index} maps to non-unit "
-                    f"{values[e.canonical_index].value} mod {m}",
+                    f"{d[e.canonical_index]} mod {m}",
                 )
             )
     return failures
@@ -164,13 +141,14 @@ def build_degree_hom(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     endos = enumerate_endomorphisms(g)
+    m = g.order
     if user_table is None:
-        if cyclic_generator(g) is None:
+        if g.cyclic_generator is None:
             raise UnsupportedGroupError(
                 f"no built-in degree homomorphism for non-cyclic {g!r}; "
                 "supply a d-table"
             )
-        values = tuple(d_cyclic(endo_residue(e), n) for e in endos)
+        values = tuple(pow(endo_residue(e), n + 1, m) for e in endos)
         return DegreeHom(group=g, n=n, values=values, provenance="builtin-cyclic")
 
     missing = [e.canonical_index for e in endos if e.canonical_index not in user_table]
@@ -178,7 +156,7 @@ def build_degree_hom(
         raise IncompleteTableError(
             f"d-table missing entries for endomorphism indices {missing}"
         )
-    values = tuple(Residue(user_table[e.canonical_index], g.order) for e in endos)
+    values = tuple(user_table[e.canonical_index] % m for e in endos)
     if comp is None:
         comp = composition_table(g)
     failures = _law_failures(g, values, comp)
@@ -202,14 +180,19 @@ def validate_degree_hom(d: DegreeHom) -> HomValidationReport:
 def dtable_to_json(d: DegreeHom) -> dict:
     return {
         "n": d.n,
-        "values": {str(i): r.value for i, r in enumerate(d.values)},
+        "values": {str(i): v for i, v in enumerate(d.values)},
     }
 
 
 def dtable_from_json(data: dict) -> tuple[int | None, dict[int, int]]:
-    values = {int(k): int(v) for k, v in data.get("values", {}).items()}
+    if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
+        raise DTableFormatError('a d-table must be an object {"n": n, "values": {...}}')
     n = data.get("n")
-    return (int(n) if n is not None else None, values)
+    try:
+        values = {int(k): operator.index(v) for k, v in data.get("values", {}).items()}
+        return (None if n is None else operator.index(n), values)
+    except (TypeError, ValueError):
+        raise DTableFormatError("d-table keys, values and n must be integers") from None
 
 
 def load_dtable(path: str | Path) -> tuple[int | None, dict[int, int]]:

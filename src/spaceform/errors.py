@@ -36,6 +36,14 @@ class SizeCapError(InputError):
     """Group order exceeds the configured cap (SPACEFORM_MAX_ORDER)."""
 
 
+class GroupSpecError(InputError):
+    """A CLI group spec is not cyclic:m, quaternion:4k or table:path."""
+
+
+class DTableFormatError(InputError):
+    """A d-table is not {"n": int, "values": {"<int>": int, ...}}."""
+
+
 class InvalidCapError(InputError):
     """SPACEFORM_MAX_ORDER is set but is not a positive integer."""
 

@@ -1,17 +1,20 @@
 """Finite groups represented by explicit multiplication tables.
 
 All groups live as immutable Cayley tables with the identity pinned at
-index 0.  Construction always runs the full battery of checks (Latin
-square, identity, inverses, exhaustive associativity), so any
-:class:`FiniteGroup` in circulation is a genuine group.
+index 0.  Every constructor ends in :func:`_finish`, and every table
+passes through :func:`_check_table` there, the one validator: shape,
+Latin square, a two-sided identity (relabelled to index 0 when it sits
+elsewhere) and exhaustive associativity.  So any :class:`FiniteGroup`
+in circulation is a genuine group.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -50,12 +53,6 @@ class FiniteGroup:
     inverses: tuple[int, ...]
     name: str = ""
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.inverses[x]
-
     def power(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inverses[x], -e
@@ -69,8 +66,13 @@ class FiniteGroup:
         n = self.order
         return all(t[x][y] == t[y][x] for x in range(n) for y in range(x))
 
-    def is_cyclic(self) -> bool:
-        return any(element_order(self, x) == self.order for x in range(self.order))
+    @cached_property
+    def cyclic_generator(self) -> int | None:
+        """Some element of full order, or None if the group is not cyclic."""
+        return next(
+            (x for x in range(self.order) if element_order(self, x) == self.order),
+            None,
+        )
 
     @cached_property
     def _hash(self) -> int:
@@ -87,8 +89,11 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-def _check_table(table: tuple[tuple[int, ...], ...]) -> None:
-    """Latin square + identity-at-0 + associativity, or raise."""
+def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
+    """Latin square + two-sided identity + associativity, or raise.
+
+    Returns the index of the identity.
+    """
     n = len(table)
     elems = set(range(n))
     for i, row in enumerate(table):
@@ -99,9 +104,11 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> None:
     for j in range(n):
         if {row[j] for row in table} != elems:
             raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
-    for x in range(n):
-        if table[0][x] != x or table[x][0] != x:
-            raise NotAGroupError("index 0 is not a two-sided identity")
+    # in a Latin square at most one row is the identity row
+    identity_row = tuple(range(n))
+    ident = next((e for e, row in enumerate(table) if row == identity_row), None)
+    if ident is None or any(row[ident] != x for x, row in enumerate(table)):
+        raise NotAGroupError("table has no two-sided identity")
     # O(n^3); the cap keeps this affordable.
     for x in range(n):
         tx = table[x]
@@ -113,6 +120,7 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> None:
                 raise NotAGroupError(
                     f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})"
                 )
+    return ident
 
 
 def _inverses(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -125,7 +133,13 @@ def _finish(table: tuple[tuple[int, ...], ...], name: str) -> FiniteGroup:
         raise InvalidOrderError("a group must have at least one element")
     if n > max_order():
         raise SizeCapError(f"order {n} exceeds cap {max_order()}")
-    _check_table(table)
+    ident = _check_table(table)
+    if ident != 0:
+        perm = list(range(n))
+        perm[0], perm[ident] = ident, 0  # swap labels 0 <-> identity
+        table = tuple(
+            tuple(perm[table[perm[x]][perm[y]]] for y in range(n)) for x in range(n)
+        )
     return FiniteGroup(order=n, table=table, inverses=_inverses(table), name=name)
 
 
@@ -165,42 +179,15 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
 
 def make_from_table(table) -> FiniteGroup:
     """Validate an arbitrary square table; relabel so the identity is 0."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
-    n = len(rows)
-    if n == 0:
-        raise InvalidOrderError("empty table")
-    if n > max_order():
-        raise SizeCapError(f"order {n} exceeds cap {max_order()}")
-    elems = set(range(n))
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise StructureError(f"row {i} has length {len(row)}, expected {n}")
-        if any(v < 0 or v >= n for v in row):
-            raise StructureError(f"row {i} has an entry out of range 0..{n - 1}")
-        if set(row) != elems:
-            raise StructureError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {row[j] for row in rows} != elems:
-            raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
-    ident = next(
-        (
-            e
-            for e in range(n)
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n))
-        ),
-        None,
-    )
-    if ident is None:
-        raise NotAGroupError("table has no two-sided identity")
-    if ident != 0:
-        perm = list(range(n))
-        perm[0], perm[ident] = ident, 0  # swap labels 0 <-> identity
-        relabeled = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                relabeled[perm[x]][perm[y]] = perm[rows[x][y]]
-        rows = tuple(tuple(row) for row in relabeled)
-    return _finish(rows, f"table[{n}]")
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in table
+    ):
+        raise StructureError("a group table must be a list of rows")
+    try:
+        rows = tuple(tuple(map(operator.index, row)) for row in table)
+    except TypeError:
+        raise StructureError("group table entries must be integers") from None
+    return _finish(rows, f"table[{len(rows)}]")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -282,7 +269,7 @@ def group_from_json(data: dict) -> FiniteGroup:
     if not isinstance(data, dict) or "table" not in data:
         raise StructureError("group file must be an object with a 'table' key")
     g = make_from_table(data["table"])
-    if "order" in data and int(data["order"]) != g.order:
+    if "order" in data and data["order"] != g.order:
         raise StructureError(
             f"declared order {data['order']} does not match table size {g.order}"
         )
@@ -292,12 +279,3 @@ def group_from_json(data: dict) -> FiniteGroup:
 def load_group(path: str | Path) -> FiniteGroup:
     with open(path) as fh:
         return group_from_json(json.load(fh))
-
-
-@lru_cache(maxsize=None)
-def cyclic_generator(g: FiniteGroup) -> int | None:
-    """Some element of full order, or None if the group is not cyclic."""
-    for x in range(g.order):
-        if element_order(g, x) == g.order:
-            return x
-    return None

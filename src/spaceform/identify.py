@@ -9,29 +9,27 @@ few profiles collide; unmatched or ambiguous profiles report as
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
+from itertools import product
+from math import gcd, lcm
+
+from .groups import _prime_divisors
 
 Fingerprint = tuple[int, bool, tuple[int, ...]]
 
 
 def _cyclic_orders(m: int) -> list[int]:
-    from math import gcd
-
     return [m // gcd(m, i) for i in range(m)]
 
 
 def _product_orders(factors: list[int]) -> list[int]:
-    from itertools import product
-    from math import lcm
-
     per = [_cyclic_orders(m) for m in factors]
     return [lcm(*combo) if combo else 1 for combo in product(*per)]
 
 
 def _partitions_into_prime_powers(n: int) -> list[list[int]]:
     """All multisets of integers > 1, each a prime power, with product n."""
-    from .groups import _prime_divisors
-
     out: list[list[int]] = []
 
     def rec(n: int, acc: list[int], minimum: int) -> None:
@@ -54,10 +52,6 @@ def _partitions_into_prime_powers(n: int) -> list[list[int]]:
 
 def _invariant_factors(prime_powers: list[int]) -> list[int]:
     """Combine a prime-power multiset into invariant factors d1 | d2 | ..."""
-    from collections import defaultdict
-
-    from .groups import _prime_divisors
-
     by_prime: dict[int, list[int]] = defaultdict(list)
     for q in prime_powers:
         by_prime[_prime_divisors(q)[0]].append(q)
@@ -80,8 +74,6 @@ def _dihedral_orders(k: int) -> list[int]:
 
 
 def _quaternion_orders(order: int) -> list[int]:
-    from math import gcd
-
     k = order // 4
     n2 = 2 * k
     rot = [n2 // gcd(n2, i) for i in range(n2)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .degree import DegreeHom, Residue, build_degree_hom
+from .degree import DegreeHom, build_degree_hom
 from .endomorphisms import (
     Endomorphism,
     composition_table,
@@ -87,7 +87,7 @@ class MonoidContext:
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
         self._comp = composition_table(group) if comp is None else comp
-        self._d = tuple(r.value for r in dhom.values)
+        self._d = dhom.values
         self._order = group.order
         self._size = len(self.endos)
         self.identity_index = identity_endomorphism(group).canonical_index
@@ -179,10 +179,9 @@ class MonoidContext:
         k = len(self.endos)
         return all(c[i][j] == c[j][i] for i in range(k) for j in range(i))
 
-    def realizable_degrees(self) -> set[Residue]:
-        """{ d(alpha) : alpha in End(G) } as residues mod |G|."""
-        m = self.group.order
-        return {Residue(v, m) for v in self._d}
+    def realizable_degrees(self) -> set[int]:
+        """{ d(alpha) : alpha in End(G) } as least non-negative residues mod |G|."""
+        return set(self._d)
 
     def is_realizable(self, k: int) -> bool:
         return k % self.group.order in set(self._d)

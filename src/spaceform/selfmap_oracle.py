@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .degree import endo_residue
 from .errors import DomainMismatchError, UnsupportedGroupError
+from .monoid_odd import monoid_context
 
 
 class SelfMapClass(NamedTuple):
@@ -106,11 +108,7 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     models, matches them under the endomorphism <-> residue bijection,
     and compares all pairwise products.  Stops at the first discrepancy.
     """
-    from .degree import endo_residue
-    from .groups import cyclic_generator
-    from .monoid_odd import monoid_context
-
-    if cyclic_generator(group) is None:
+    if group.cyclic_generator is None:
         raise UnsupportedGroupError("cross_check is defined for cyclic groups only")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -119,7 +117,7 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     oracle = OracleContext(group.order, n)
 
     # endomorphism canonical index <-> residue
-    to_residue = tuple(endo_residue(e).value for e in ctx.endos)
+    to_residue = tuple(endo_residue(e) for e in ctx.endos)
     to_index = {r: i for i, r in enumerate(to_residue)}
 
     monoid_side = {

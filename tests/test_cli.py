@@ -8,8 +8,10 @@ from spaceform.cli import (
     EXIT_VALIDATION,
     coset_representative,
     main,
+    parse_group_spec,
     render_json,
 )
+from spaceform.errors import GroupSpecError
 
 KLEIN_4 = {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
 
@@ -269,6 +271,57 @@ class TestInfrastructure:
     def test_invalid_order_is_input_error(self, capsys):
         code, _, _ = run(capsys, "monoid", "--group", "cyclic:0", "--n", "1")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("spec", ["cyclic:x", "quaternion:x", "cyclic:", "quaternion:8.0"])
+    def test_non_integer_order_in_spec_is_typed_input_error(self, capsys, spec):
+        with pytest.raises(GroupSpecError):
+            parse_group_spec(spec)
+        code, out, err = run(capsys, "monoid", "--group", spec, "--n", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "group spec" in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"table": 5},
+            {"table": [1, 2]},
+            {"table": [[0, [1]], [1, 0]]},
+            {"table": [[0, 1.7], [1.2, 0]]},
+            {"order": [2], "table": [[0, 1], [1, 0]]},
+            [[0, 1], [1, 0]],
+        ],
+    )
+    @pytest.mark.parametrize("sub", ["monoid", "check"])
+    def test_malformed_group_file_exits_1(self, capsys, tmp_path, data, sub):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, sub, "--group", f"table:{path}", "--n", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            {"n": 1, "values": [1, 1]},
+            {"n": 1, "values": {"0": None}},
+            {"n": 1, "values": {str(i): 1.9 for i in range(28)}},
+            {"n": 1, "values": {"x": 1}},
+            {"n": 1.0, "values": {str(i): 1 for i in range(28)}},
+        ],
+    )
+    @pytest.mark.parametrize("sub", ["monoid", "check"])
+    def test_malformed_dtable_exits_1(self, capsys, tmp_path, data, sub):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, sub, "--group", "quaternion:8", "--n", "1", "--d-table", str(path)
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "d-table" in err
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_order_cap_is_input_error(self, capsys, monkeypatch, raw):

@@ -5,13 +5,14 @@ import pytest
 
 from spaceform import (
     build_degree_hom,
-    d_cyclic,
     enumerate_endomorphisms,
     make_cyclic,
     validate_degree_hom,
 )
-from spaceform.degree import Residue, endo_residue
+from spaceform.degree import DegreeHom
+from spaceform.endomorphisms import composition_table
 from spaceform.errors import (
+    DTableFormatError,
     IncompleteTableError,
     InvalidTableError,
     NotAHomomorphismError,
@@ -21,44 +22,56 @@ from tests.conftest import naive_power_mod
 
 
 class TestResidue:
+    """Degree residues are plain ints: least non-negative residues mod |G|."""
+
     def test_normalizes_negative(self):
-        assert Residue(-1, 5).value == 4
+        # the builtin table of C_5, n=1, is [0, 1, 4, 4, 1]; 4 = -1 mod 5
+        d = build_degree_hom(make_cyclic(5), 1, {0: 0, 1: 1, 2: -1, 3: -6, 4: 6})
+        assert d.values == (0, 1, 4, 4, 1)
+        assert all(type(v) is int for v in d.values)
 
     def test_multiplication(self):
-        assert (Residue(3, 7) * Residue(4, 7)).value == 5
+        g = make_cyclic(7)
+        d = build_degree_hom(g, 2)
+        for i, row in enumerate(composition_table(g)):
+            for j, c in enumerate(row):
+                assert d(c) == d(i) * d(j) % 7
 
     def test_modulus_one(self):
-        assert Residue(17, 1).value == 0
+        d = build_degree_hom(make_cyclic(1), 4, {0: 17})
+        assert d.values == (0,)
 
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            Residue(0, 0)
+
+def builtin_cyclic_values(m: int, n: int) -> tuple[int, ...]:
+    """d over End(C_m), indexed by residue: endo r has images[1] == r."""
+    endos = enumerate_endomorphisms(make_cyclic(m))
+    assert [e.images[1 % m] for e in endos] == [r % m for r in range(m)]
+    return build_degree_hom(make_cyclic(m), n).values
 
 
 class TestDCyclic:
     def test_identity_residue_is_fixed(self):
         for n in range(6):
             for m in (2, 5, 9):
-                assert d_cyclic(Residue(1, m), n).value == 1
+                assert builtin_cyclic_values(m, n)[1] == 1
 
     def test_squaring_mod_5(self):
-        assert d_cyclic(Residue(2, 5), 1).value == 4
+        assert builtin_cyclic_values(5, 1)[2] == 4
 
     def test_c2_gives_parities(self):
-        assert d_cyclic(Residue(0, 2), 3).value == 0
-        assert d_cyclic(Residue(1, 2), 3).value == 1
+        assert builtin_cyclic_values(2, 3) == (0, 1)
 
     @pytest.mark.parametrize("m", range(1, 51))
     def test_agrees_with_repeated_multiplication(self, m):
         for n in range(13):
-            for r in range(m):
-                assert d_cyclic(Residue(r, m), n).value == naive_power_mod(r, n + 1, m)
+            values = builtin_cyclic_values(m, n)
+            assert values == tuple(naive_power_mod(r, n + 1, m) for r in range(m))
 
 
 class TestBuildCyclic:
     def test_c5_n1_values(self):
         d = build_degree_hom(make_cyclic(5), 1)
-        assert [v.value for v in d.values] == [0, 1, 4, 4, 1]
+        assert d.values == (0, 1, 4, 4, 1)
         assert d.provenance == "builtin-cyclic"
 
     def test_trivial_group(self):
@@ -81,7 +94,7 @@ class TestBuildCyclic:
 
         g = make_from_table([[(x + y) % 5 for y in range(5)] for x in range(5)])
         d = build_degree_hom(g, 1)
-        assert sorted(v.value for v in d.values) == [0, 1, 1, 4, 4]
+        assert sorted(d.values) == [0, 1, 1, 4, 4]
 
 
 class TestUserTables:
@@ -103,11 +116,8 @@ class TestUserTables:
         g = make_cyclic(3)
         with pytest.raises(InvalidTableError, match="identity"):
             build_degree_hom(g, 1, {i: 0 for i in range(3)})
-        values = tuple(Residue(0, 3) for _ in range(3))
-        from spaceform.degree import DegreeHom
-
         report = validate_degree_hom(
-            DegreeHom(group=g, n=1, values=values, provenance="user-supplied")
+            DegreeHom(group=g, n=1, values=(0, 0, 0), provenance="user-supplied")
         )
         assert not report.passed
         assert any(f.law == "identity" for f in report.failures)
@@ -115,7 +125,7 @@ class TestUserTables:
     def test_non_unit_on_automorphism_of_c12(self, c12):
         # keep identity and multiplicativity failures out of the way by
         # modifying the builtin table at a single automorphism
-        good = {i: v.value for i, v in enumerate(build_degree_hom(c12, 2).values)}
+        good = dict(enumerate(build_degree_hom(c12, 2).values))
         endos = enumerate_endomorphisms(c12)
         aut = next(
             e.canonical_index
@@ -126,13 +136,11 @@ class TestUserTables:
         bad[aut] = 6  # gcd(6, 12) != 1
         with pytest.raises((InvalidTableError, NotAHomomorphismError)):
             build_degree_hom(c12, 2, bad)
-        from spaceform.degree import DegreeHom
-
         report = validate_degree_hom(
             DegreeHom(
                 group=c12,
                 n=2,
-                values=tuple(Residue(bad[i], 12) for i in range(len(endos))),
+                values=tuple(bad[i] for i in range(len(endos))),
                 provenance="user-supplied",
             )
         )
@@ -149,8 +157,6 @@ class TestUserTables:
         assert exc.value.witness is not None
         i, j = exc.value.witness
         # the reported pair really is a violation
-        from spaceform.endomorphisms import composition_table
-
         comp = composition_table(g)
         assert table[comp[i][j]] % 6 != table[i] * table[j] % 6
 
@@ -163,6 +169,31 @@ class TestSerialization:
         n, values = dtable_from_json(dtable_to_json(d))
         assert n == 1
         assert build_degree_hom(make_cyclic(5), 1, values).values == d.values
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            {"values": [1, 1]},
+            {"values": {"0": None}},
+            {"values": {"0": 1.9}},
+            {"values": {"0": "1"}},
+            {"values": {"x": 1}},
+            {"values": {"1.5": 1}},
+            {"n": 1.5, "values": {"0": 1}},
+            {"n": "1", "values": {"0": 1}},
+        ],
+    )
+    def test_malformed_dtable_is_typed_input_error(self, data):
+        from spaceform.degree import dtable_from_json
+
+        with pytest.raises(DTableFormatError):
+            dtable_from_json(data)
+
+    def test_dtable_n_is_optional(self):
+        from spaceform.degree import dtable_from_json
+
+        assert dtable_from_json({"values": {"0": -1}}) == (None, {0: -1})
 
     def test_endo_list_serializes(self):
         from spaceform.endomorphisms import endomorphisms_to_json
@@ -201,7 +232,7 @@ class TestValidatorAgainstIndependentChecker:
         tables.append({i: 1 for i in range(size)})
         if group_name == "c6":
             tables.append(
-                {i: v.value for i, v in enumerate(build_degree_hom(g, 1).values)}
+                dict(enumerate(build_degree_hom(g, 1).values))
             )
         accepted_counts = 0
         for table in tables:

@@ -1,7 +1,10 @@
 import json
 import pickle
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spaceform import (
     direct_product,
@@ -92,9 +95,86 @@ class TestMakeFromTable:
         with pytest.raises(NotAGroupError, match="identity"):
             make_from_table([[(x - y) % 3 for y in range(3)] for x in range(3)])
 
+    def test_left_identity_only_rejected(self):
+        # x*y = y-x mod 3: row 0 is the identity row, column 0 is not
+        with pytest.raises(NotAGroupError, match="identity"):
+            make_from_table([[(y - x) % 3 for y in range(3)] for x in range(3)])
+
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(StructureError):
             make_from_table([[0, 5], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "table",
+        [5, [1, 2], [[0, [1]], [1, 0]], [[0, 1.7], [1.2, 0]], [[0, "1"], [1, 0]], None],
+    )
+    def test_malformed_table_is_structure_error(self, table):
+        with pytest.raises(StructureError):
+            make_from_table(table)
+
+    def test_nonassociative_loop_with_identity_elsewhere_rejected(self):
+        # NONASSOC_5 with labels 0 and 3 swapped: its identity sits at index 3
+        swap = [3, 1, 2, 0, 4]
+        table = [[swap[NONASSOC_5[swap[x]][swap[y]]] for y in range(5)] for x in range(5)]
+        with pytest.raises(NotAGroupError, match="associativity"):
+            make_from_table(table)
+
+
+def naive_identity(table: list[list[int]]) -> int | None:
+    n = len(table)
+    return next(
+        (e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))),
+        None,
+    )
+
+
+def naive_is_group(table: list[list[int]]) -> bool:
+    n = len(table)
+    return naive_identity(table) is not None and all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x, y, z in product(range(n), repeat=3)
+    )
+
+
+@st.composite
+def latin_squares(draw):
+    """Isotopes a[b[x] + c[y] mod n] of C_n: Latin squares, some of them groups."""
+    n = draw(st.integers(1, 6))
+    a, b, c = (draw(st.permutations(range(n))) for _ in range(3))
+    return [[a[(b[x] + c[y]) % n] for y in range(n)] for x in range(n)]
+
+
+class TestSingleValidator:
+    @settings(max_examples=200, deadline=None)
+    @given(latin_squares())
+    def test_accepts_exactly_the_groups_and_moves_the_identity_to_zero(self, table):
+        n = len(table)
+        if not naive_is_group(table):
+            with pytest.raises(NotAGroupError):
+                make_from_table(table)
+            return
+        e = naive_identity(table)
+        swap = list(range(n))
+        swap[0], swap[e] = e, 0
+        expected = tuple(
+            tuple(swap[table[swap[x]][swap[y]]] for y in range(n)) for x in range(n)
+        )
+        assert make_from_table(table).table == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_random_tables_are_rejected_by_the_right_check(self, table):
+        n = len(table)
+        latin = all(sorted(row) == list(range(n)) for row in table) and all(
+            sorted(col) == list(range(n)) for col in zip(*table)
+        )
+        if latin and naive_is_group(table):
+            assert make_from_table(table).order == n
+        else:
+            with pytest.raises(NotAGroupError if latin else StructureError):
+                make_from_table(table)
 
 
 class TestGeneralizedQuaternion:
@@ -164,7 +244,7 @@ class TestDirectProduct:
     def test_c2_c3_is_c6(self):
         g = direct_product(make_cyclic(2), make_cyclic(3))
         assert g.order == 6
-        assert g.is_cyclic()
+        assert g.cyclic_generator is not None
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.setenv("SPACEFORM_MAX_ORDER", "10")
@@ -183,6 +263,26 @@ class TestDirectProduct:
             make_cyclic(4)
         assert isinstance(exc.value, InputError)
         assert not isinstance(exc.value, ValueError)
+
+
+class TestCyclicGenerator:
+    @pytest.mark.parametrize("m", [1, 2, 12, 30])
+    def test_cyclic_groups_have_a_full_order_generator(self, m):
+        g = make_cyclic(m)
+        assert element_order(g, g.cyclic_generator) == m
+
+    def test_non_cyclic_groups_have_none(self, q8):
+        assert make_from_table(KLEIN_4).cyclic_generator is None
+        assert q8.cyclic_generator is None
+        assert direct_product(make_cyclic(2), make_cyclic(4)).cyclic_generator is None
+
+    def test_cached_on_the_instance_and_ignored_by_equality(self):
+        a, b = make_cyclic(10), make_cyclic(10)
+        assert a.cyclic_generator == 1
+        assert a.__dict__["cyclic_generator"] == 1
+        assert "cyclic_generator" not in b.__dict__
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)).cyclic_generator == 1
 
 
 class TestHash:
@@ -220,3 +320,8 @@ class TestGroupFiles:
     def test_missing_table_key(self):
         with pytest.raises(StructureError):
             group_from_json({"order": 2})
+
+    @pytest.mark.parametrize("order", ["2", [2], None])
+    def test_declared_order_must_be_the_integer_size(self, order):
+        with pytest.raises(StructureError):
+            group_from_json({"order": order, "table": [[0, 1], [1, 0]]})
