@@ -10,7 +10,6 @@ only if it satisfies the monoid-homomorphism laws, checked exhaustively.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -24,11 +23,12 @@ from .endomorphisms import (
 from .errors import (
     DTableFormatError,
     IncompleteTableError,
+    InvalidDimensionError,
     InvalidTableError,
     NotAHomomorphismError,
     UnsupportedGroupError,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, as_int
 
 
 def endo_residue(e: Endomorphism) -> int:
@@ -139,7 +139,7 @@ def build_degree_hom(
     of G, computed here unless the caller already holds it.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidDimensionError(f"n must be >= 0, got {n}")
     endos = enumerate_endomorphisms(g)
     m = g.order
     if user_table is None:
@@ -189,8 +189,8 @@ def dtable_from_json(data: dict) -> tuple[int | None, dict[int, int]]:
         raise DTableFormatError('a d-table must be an object {"n": n, "values": {...}}')
     n = data.get("n")
     try:
-        values = {int(k): operator.index(v) for k, v in data.get("values", {}).items()}
-        return (None if n is None else operator.index(n), values)
+        values = {int(k): as_int(v) for k, v in data.get("values", {}).items()}
+        return (None if n is None else as_int(n), values)
     except (TypeError, ValueError):
         raise DTableFormatError("d-table keys, values and n must be integers") from None
 

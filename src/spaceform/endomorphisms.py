@@ -21,7 +21,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import DomainMismatchError, SizeCapError
-from .groups import FiniteGroup, element_order, max_order
+from .groups import FiniteGroup, element_order, greedy_generators, max_order
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,7 @@ class Endomorphism:
 
 def generating_set(g: FiniteGroup) -> list[int]:
     """Greedy generating set: repeatedly add the smallest element not yet generated."""
-    gens: list[int] = []
-    closure = {0}
-    while len(closure) < g.order:
-        x = min(set(range(g.order)) - closure)
-        gens.append(x)
-        frontier = [x]
-        closure.add(x)
-        while frontier:
-            a = frontier.pop()
-            for b in list(closure):
-                for c in (g.table[a][b], g.table[b][a]):
-                    if c not in closure:
-                        closure.add(c)
-                        frontier.append(c)
-    return gens
+    return greedy_generators(g.table)
 
 
 def _cayley_edges(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:

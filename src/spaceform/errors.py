@@ -64,6 +64,14 @@ class InvalidDimensionError(InputError):
     """Dimension parameter out of range for the requested monoid."""
 
 
+class InvalidWindowError(InputError):
+    """A degree window below 1 where the cross-check needs one."""
+
+
+class NotOddError(InputError):
+    """An odd class b[k] of M(RP^(2n)) was asked for with an even k."""
+
+
 class IncompleteTableError(ValidationError):
     """User degree table does not cover every endomorphism."""
 

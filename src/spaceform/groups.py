@@ -4,8 +4,16 @@ All groups live as immutable Cayley tables with the identity pinned at
 index 0.  Every constructor ends in :func:`_finish`, and every table
 passes through :func:`_check_table` there, the one validator: shape,
 Latin square, a two-sided identity (relabelled to index 0 when it sits
-elsewhere) and exhaustive associativity.  So any :class:`FiniteGroup`
-in circulation is a genuine group.
+elsewhere) and associativity.  So any :class:`FiniteGroup` in
+circulation is a genuine group.
+
+Associativity is decided exactly by Light's test (Clifford & Preston,
+*Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
+(x*y)*z = x*(y*z) for all x, z is closed under the product, because
+(x*(y*y'))*z = ((x*y)*y')*z = (x*y)*(y'*z) = x*(y*(y'*z)) = x*((y*y')*z)
+for y, y' in T.  T contains the identity, so once it contains a set A
+whose products, grown from the identity, reach every element, T is the
+whole table.  Checking y in A only costs O(n^2 |A|) instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -89,6 +97,33 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
+def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> list[int]:
+    """Greedy generators: repeatedly add the smallest element not yet reached.
+
+    An element is reached when it is a product (((ident*a1)*a2)*...)*ak of
+    chosen generators; in a finite group these products form the subgroup
+    the generators generate.  The table must be a Latin square.
+    """
+    n = len(table)
+    reached = [False] * n
+    reached[ident] = True
+    seen = [ident]
+    gens: list[int] = []
+    nxt = 0
+    while len(seen) < n:
+        while reached[nxt]:
+            nxt += 1
+        gens.append(nxt)
+        for x in seen:  # the list grows while it is walked
+            row = table[x]
+            for s in gens:
+                y = row[s]
+                if not reached[y]:
+                    reached[y] = True
+                    seen.append(y)
+    return gens
+
+
 def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
     """Latin square + two-sided identity + associativity, or raise.
 
@@ -101,26 +136,37 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
             raise StructureError(f"row {i} has length {len(row)}, expected {n}")
         if set(row) != elems:
             raise StructureError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {row[j] for row in table} != elems:
+    for j, col in enumerate(zip(*table)):
+        if set(col) != elems:
             raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
     # in a Latin square at most one row is the identity row
     identity_row = tuple(range(n))
     ident = next((e for e, row in enumerate(table) if row == identity_row), None)
     if ident is None or any(row[ident] != x for x, row in enumerate(table)):
         raise NotAGroupError("table has no two-sided identity")
-    # O(n^3); the cap keeps this affordable.
-    for x in range(n):
-        tx = table[x]
-        for y in range(n):
-            txy = table[tx[y]]
-            ty = table[y]
-            if any(txy[z] != tx[ty[z]] for z in range(n)):
-                z = next(z for z in range(n) if txy[z] != tx[ty[z]])
-                raise NotAGroupError(
-                    f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})"
-                )
+    # Light's test (module docstring) decides; only when it fails does the
+    # O(n^3) scan over every y run, to name the lexicographically first witness
+    if _first_nonassociative(table, greedy_generators(table, ident)):
+        x, y, z = _first_nonassociative(table, range(n))
+        raise NotAGroupError(f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})")
     return ident
+
+
+def _first_nonassociative(
+    table: tuple[tuple[int, ...], ...], ys
+) -> tuple[int, int, int] | None:
+    """The first (x, y, z), y in ``ys``, with (x*y)*z != x*(y*z), or None.
+
+    Compares whole rows: row (x*y) against x applied to row y.
+    """
+    for x, tx in enumerate(table):
+        for y in ys:
+            txy = table[tx[y]]
+            x_yz = tuple(map(tx.__getitem__, table[y]))
+            if txy != x_yz:
+                z = next(z for z, (a, b) in enumerate(zip(txy, x_yz)) if a != b)
+                return x, y, z
+    return None
 
 
 def _inverses(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -177,6 +223,13 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
     return _finish(table, f"Q{order}")
 
 
+def as_int(value) -> int:
+    """``operator.index``, except that a bool (JSON true/false) is no integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
 def make_from_table(table) -> FiniteGroup:
     """Validate an arbitrary square table; relabel so the identity is 0."""
     if not isinstance(table, (list, tuple)) or not all(
@@ -184,7 +237,7 @@ def make_from_table(table) -> FiniteGroup:
     ):
         raise StructureError("a group table must be a list of rows")
     try:
-        rows = tuple(tuple(map(operator.index, row)) for row in table)
+        rows = tuple(tuple(map(as_int, row)) for row in table)
     except TypeError:
         raise StructureError("group table entries must be integers") from None
     return _finish(rows, f"table[{len(rows)}]")
@@ -269,7 +322,7 @@ def group_from_json(data: dict) -> FiniteGroup:
     if not isinstance(data, dict) or "table" not in data:
         raise StructureError("group file must be an object with a 'table' key")
     g = make_from_table(data["table"])
-    if "order" in data and data["order"] != g.order:
+    if "order" in data and (isinstance(data["order"], bool) or data["order"] != g.order):
         raise StructureError(
             f"declared order {data['order']} does not match table size {g.order}"
         )

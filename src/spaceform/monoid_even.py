@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import NotOddError
+
 TAG_A0 = "a0"
 TAG_A2 = "a2"
 TAG_ODD = "odd"
@@ -33,7 +35,7 @@ A2 = EvenElement(TAG_A2, 0)
 
 def odd(k: int) -> EvenElement:
     if k % 2 == 0:
-        raise ValueError(f"odd class requires an odd integer, got {k}")
+        raise NotOddError(f"odd class requires an odd integer, got {k}")
     return EvenElement(TAG_ODD, k)
 
 

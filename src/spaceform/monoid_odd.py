@@ -9,7 +9,9 @@ are distinct homotopy classes and the monoid is infinite.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product, starmap
 from typing import Iterator, NamedTuple
 
 from .degree import DegreeHom, build_degree_hom
@@ -210,3 +212,46 @@ def monoid_context(
     """
     comp = None if user_table is None else composition_table(group)
     return MonoidContext(group, n, build_degree_hom(group, n, user_table, comp), comp)
+
+
+AXIOM_SAMPLES = 10_000
+
+
+def closed_in_window(ctx: MonoidContext, elems: list[SpaceFormElement]) -> bool:
+    """Whether every element of ``elems`` and every product of two is valid.
+
+    Exact with one product per pair of endomorphisms: for valid x and y the
+    product (alpha_x o alpha_y, k_x * k_y) is valid iff
+    k_x * k_y = d(alpha_x o alpha_y) mod |G|, and k_x * k_y = d(alpha_x) *
+    d(alpha_y) mod |G|, so the answer depends on the two alphas alone.
+    """
+    is_valid = ctx.is_valid
+    multiply = ctx.multiply
+    if not all(map(is_valid, elems)):
+        return False
+    reps = list({x.alpha: x for x in elems}.values())
+    return all(map(is_valid, starmap(multiply, product(reps, repeat=2))))
+
+
+def monoid_axioms(ctx: MonoidContext) -> tuple[int, bool]:
+    """The monoid axioms on the elements with |degree| <= 3|G| + 1.
+
+    Returns the number of associativity and identity failures among
+    AXIOM_SAMPLES triples drawn from ``random.Random(0)`` (the same
+    triples on every run), and whether the window is closed under the
+    product, which is checked exactly.
+    """
+    elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
+    choice = random.Random(0).choice
+    multiply = ctx.multiply
+    ident = ctx.identity()
+    failures = 0
+    for _ in range(AXIOM_SAMPLES):
+        x = choice(elems)
+        y = choice(elems)
+        z = choice(elems)
+        if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
+            failures += 1
+        if multiply(x, ident) != x or multiply(ident, x) != x:
+            failures += 1
+    return failures, closed_in_window(ctx, elems)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .degree import endo_residue
-from .errors import DomainMismatchError, UnsupportedGroupError
+from .errors import (
+    DomainMismatchError,
+    InvalidDimensionError,
+    InvalidOrderError,
+    InvalidWindowError,
+    UnsupportedGroupError,
+)
 from .monoid_odd import monoid_context
 
 
@@ -35,8 +41,10 @@ class OracleContext:
     n: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 0:
-            raise ValueError(f"need m >= 1 and n >= 0, got m={self.m}, n={self.n}")
+        if self.m < 1:
+            raise InvalidOrderError(f"oracle order m must be >= 1, got {self.m}")
+        if self.n < 0:
+            raise InvalidDimensionError(f"n must be >= 0, got {self.n}")
 
     def naive_degree(self, r: int) -> int:
         """r^{n+1} mod m by repeated multiplication (deliberately not pow)."""
@@ -111,7 +119,7 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     if group.cyclic_generator is None:
         raise UnsupportedGroupError("cross_check is defined for cyclic groups only")
     if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+        raise InvalidWindowError(f"window must be >= 1, got {window}")
 
     ctx = monoid_context(group, n)
     oracle = OracleContext(group.order, n)

@@ -12,6 +12,7 @@ from spaceform.cli import (
     render_json,
 )
 from spaceform.errors import GroupSpecError
+from tests.test_groups import NONASSOC_5
 
 KLEIN_4 = {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
 
@@ -192,6 +193,36 @@ class TestCheckCommand:
         assert report["passed"] is False
         assert "endo" in json.dumps(report)  # witness pair is reported
 
+    @pytest.mark.parametrize("spec", ["cyclic:5", "quaternion:8"])
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_exits_1_before_any_suite(
+        self, capsys, monkeypatch, spec, window
+    ):
+        def no_suite(*args):
+            pytest.fail("a suite ran")
+
+        monkeypatch.setattr("spaceform.cli.rank_one_check", no_suite)
+        monkeypatch.setattr("spaceform.cli.monoid_context", no_suite)
+        code, out, err = run(capsys, "check", "--group", spec, "--n", "1", "--window", window)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"input error: window must be >= 1, got {window}\n"
+
+    @pytest.mark.parametrize("sub", ["monoid", "check"])
+    def test_negative_n_exits_1(self, capsys, sub):
+        code, out, err = run(capsys, sub, "--group", "cyclic:5", "--n", "-1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: n must be >= 0, got -1\n"
+
+    def test_non_associative_table_exits_1_with_the_first_witness(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"table": NONASSOC_5}))
+        code, out, err = run(capsys, "check", "--group", f"table:{path}", "--n", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input error: associativity fails at (1*1)*2 != 1*(1*2)\n"
+
 
 class TestCensusCommand:
     def test_row_contents(self, capsys):
@@ -290,6 +321,7 @@ class TestInfrastructure:
             {"table": [[0, 1.7], [1.2, 0]]},
             {"order": [2], "table": [[0, 1], [1, 0]]},
             [[0, 1], [1, 0]],
+            {"table": [[0, True], [True, 0]]},
         ],
     )
     @pytest.mark.parametrize("sub", ["monoid", "check"])
@@ -310,6 +342,8 @@ class TestInfrastructure:
             {"n": 1, "values": {str(i): 1.9 for i in range(28)}},
             {"n": 1, "values": {"x": 1}},
             {"n": 1.0, "values": {str(i): 1 for i in range(28)}},
+            {"n": 1, "values": {"0": True}},
+            {"n": True, "values": {str(i): 1 for i in range(28)}},
         ],
     )
     @pytest.mark.parametrize("sub", ["monoid", "check"])

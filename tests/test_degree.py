@@ -14,6 +14,7 @@ from spaceform.endomorphisms import composition_table
 from spaceform.errors import (
     DTableFormatError,
     IncompleteTableError,
+    InvalidDimensionError,
     InvalidTableError,
     NotAHomomorphismError,
     UnsupportedGroupError,
@@ -85,7 +86,7 @@ class TestBuildCyclic:
         assert validate_degree_hom(build_degree_hom(make_cyclic(m), n)).passed
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDimensionError):
             build_degree_hom(make_cyclic(3), -1)
 
     def test_endo_residue_generator_independent(self):
@@ -182,6 +183,8 @@ class TestSerialization:
             {"values": {"1.5": 1}},
             {"n": 1.5, "values": {"0": 1}},
             {"n": "1", "values": {"0": 1}},
+            {"values": {"0": True}},
+            {"n": True, "values": {"0": 1}},
         ],
     )
     def test_malformed_dtable_is_typed_input_error(self, data):

@@ -106,7 +106,16 @@ class TestMakeFromTable:
 
     @pytest.mark.parametrize(
         "table",
-        [5, [1, 2], [[0, [1]], [1, 0]], [[0, 1.7], [1.2, 0]], [[0, "1"], [1, 0]], None],
+        [
+            5,
+            [1, 2],
+            [[0, [1]], [1, 0]],
+            [[0, 1.7], [1.2, 0]],
+            [[0, "1"], [1, 0]],
+            None,
+            [[0, True], [True, 0]],
+            [[False]],
+        ],
     )
     def test_malformed_table_is_structure_error(self, table):
         with pytest.raises(StructureError):
@@ -325,3 +334,7 @@ class TestGroupFiles:
     def test_declared_order_must_be_the_integer_size(self, order):
         with pytest.raises(StructureError):
             group_from_json({"order": order, "table": [[0, 1], [1, 0]]})
+
+    def test_declared_order_true_is_not_one(self):
+        with pytest.raises(StructureError):
+            group_from_json({"order": True, "table": [[0]]})

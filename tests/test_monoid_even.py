@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spaceform import A0, A2, canonicalize, identity_even, multiply_even, odd
+from spaceform.errors import NotOddError
 from spaceform.monoid_even import is_unit
 
 
@@ -25,7 +26,7 @@ class TestCanonicalize:
         assert canonicalize(7) != canonicalize(9)
 
     def test_odd_rejects_even_payload(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotOddError):
             odd(4)
 
 

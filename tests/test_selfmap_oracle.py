@@ -8,7 +8,13 @@ from spaceform import (
     make_cyclic,
     make_generalized_quaternion,
 )
-from spaceform.errors import DomainMismatchError, UnsupportedGroupError
+from spaceform.errors import (
+    DomainMismatchError,
+    InvalidDimensionError,
+    InvalidOrderError,
+    InvalidWindowError,
+    UnsupportedGroupError,
+)
 from tests.conftest import naive_power_mod
 
 
@@ -41,8 +47,10 @@ class TestOracleContext:
         assert degrees == list(range(-10, 11))
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidOrderError):
             OracleContext(m=0, n=1)
+        with pytest.raises(InvalidDimensionError):
+            OracleContext(m=3, n=-1)
 
 
 class TestCompose:
@@ -101,7 +109,7 @@ class TestCrossCheck:
             cross_check(make_generalized_quaternion(8), 1, 10)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWindowError):
             cross_check(make_cyclic(3), 1, 0)
 
     def test_report_serializes(self):

@@ -1,0 +1,258 @@
+"""Property tests for the two exact checks that replaced brute-force scans.
+
+- ``groups._check_table`` decides associativity by Light's test over a
+  greedy generating set; the reference is the O(n^3) scan it replaced.
+- ``monoid_odd.closed_in_window`` checks closure with one product per pair
+  of endomorphisms; the reference is the product of every pair of
+  window elements.
+
+Both references are written out here and share no code with the package.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spaceform import (
+    build_degree_hom,
+    direct_product,
+    make_cyclic,
+    make_from_table,
+    make_generalized_quaternion,
+    monoid_context,
+)
+from spaceform.degree import DegreeHom
+from spaceform.endomorphisms import composition_table, generating_set
+from spaceform.errors import NotAGroupError, StructureError
+from spaceform.groups import _check_table
+from spaceform.monoid_odd import MonoidContext, closed_in_window, monoid_axioms
+from tests.test_end_properties import groups
+
+PROPERTY = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+SMALL_GROUPS = (
+    *(make_cyclic(n) for n in range(1, 13)),
+    make_generalized_quaternion(8),
+    direct_product(make_cyclic(2), make_cyclic(4)),
+)
+BASES = tuple(g.table for g in SMALL_GROUPS)
+
+
+def brute_force_check_table(table) -> int:
+    """The validator before Light's test: every triple (x, y, z) is checked."""
+    n = len(table)
+    elems = set(range(n))
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise StructureError(f"row {i} has length {len(row)}, expected {n}")
+        if set(row) != elems:
+            raise StructureError(f"row {i} is not a permutation of 0..{n - 1}")
+    for j in range(n):
+        if {row[j] for row in table} != elems:
+            raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
+    identity_row = tuple(range(n))
+    ident = next((e for e, row in enumerate(table) if row == identity_row), None)
+    if ident is None or any(row[ident] != x for x, row in enumerate(table)):
+        raise NotAGroupError("table has no two-sided identity")
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    raise NotAGroupError(
+                        f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})"
+                    )
+    return ident
+
+
+def random_loop(base, rng: random.Random, switches: int) -> tuple[tuple[int, ...], ...]:
+    """A normalised isotope of ``base``, after ``switches`` row-cycle switches.
+
+    The isotope a[base[b[x]][c[y]]] is a Latin square; a row-cycle switch
+    (swap two rows on one cycle of columns) keeps it Latin and usually
+    breaks associativity; normalising by x o y = L[R_v^-1 x][L_u^-1 y]
+    gives a loop with identity L[u][v].
+    """
+    n = len(base)
+    a, b, c = (rng.sample(range(n), n) for _ in range(3))
+    sq = [[a[base[b[x]][c[y]]] for y in range(n)] for x in range(n)]
+    for _ in range(switches if n > 1 else 0):
+        r1, r2 = rng.sample(range(n), 2)
+        cols = [rng.randrange(n)]
+        while True:
+            nxt = sq[r1].index(sq[r2][cols[-1]])
+            if nxt == cols[0]:
+                break
+            cols.append(nxt)
+        for col in cols:
+            sq[r1][col], sq[r2][col] = sq[r2][col], sq[r1][col]
+    u, v = rng.randrange(n), rng.randrange(n)
+    right_inv = {sq[x][v]: x for x in range(n)}
+    left_inv = {sq[u][y]: y for y in range(n)}
+    return tuple(
+        tuple(sq[right_inv[x]][left_inv[y]] for y in range(n)) for x in range(n)
+    )
+
+
+def product_table(a, b) -> tuple[tuple[int, ...], ...]:
+    """The direct product of two loops, the pair (x, y) encoded as x*|b| + y."""
+    nb = len(b)
+    return tuple(
+        tuple(a[x // nb][y // nb] * nb + b[x % nb][y % nb] for y in range(len(a) * nb))
+        for x in range(len(a) * nb)
+    )
+
+
+@st.composite
+def loops(draw):
+    """Random loops, alone or times a group on either side.
+
+    In a product with a group the group's elements associate with
+    everything, so Light's test must not stop at the first generators.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    loop = random_loop(draw(st.sampled_from(BASES)), rng, draw(st.integers(0, 3)))
+    if len(loop) > 6 or draw(st.booleans()):
+        return loop
+    group = draw(st.sampled_from(BASES[1:4]))
+    return draw(st.sampled_from([product_table(loop, group), product_table(group, loop)]))
+
+
+def verdict(check, table):
+    try:
+        return ("group", check(table))
+    except NotAGroupError as exc:
+        return ("not a group", str(exc))
+
+
+class TestLightsTest:
+    @PROPERTY
+    @given(loops())
+    def test_same_verdict_and_message_as_the_full_scan(self, table):
+        assert verdict(_check_table, table) == verdict(brute_force_check_table, table)
+
+    def test_the_loops_include_groups_and_non_groups(self):
+        rng = random.Random(4)
+        verdicts = {
+            verdict(brute_force_check_table, random_loop(base, rng, 1))[0]
+            for base in BASES
+            for _ in range(5)
+        }
+        assert verdicts == {"group", "not a group"}
+
+
+def old_generating_set(g) -> list[int]:
+    """The greedy generating set before the shared routine: two-sided closure."""
+    gens: list[int] = []
+    closure = {0}
+    while len(closure) < g.order:
+        x = min(set(range(g.order)) - closure)
+        gens.append(x)
+        frontier = [x]
+        closure.add(x)
+        while frontier:
+            a = frontier.pop()
+            for b in list(closure):
+                for c in (g.table[a][b], g.table[b][a]):
+                    if c not in closure:
+                        closure.add(c)
+                        frontier.append(c)
+    return gens
+
+
+@st.composite
+def dihedral_groups(draw):
+    """D_n from a relabelled table, so the greedy generators may be two
+    reflections: then the product of the cyclic subgroups they generate is
+    not the whole group, and the closure must keep applying every generator."""
+    n = draw(st.integers(3, 8))
+
+    def mul(a: int, b: int) -> int:  # r^i s^f encoded as f*n + i
+        (f, i), (g, j) = divmod(a, n), divmod(b, n)
+        return (f ^ g) * n + (i + (-j if f else j)) % n
+
+    perm = draw(st.permutations(range(2 * n)))
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for a in range(2 * n):
+        for b in range(2 * n):
+            table[perm[a]][perm[b]] = perm[mul(a, b)]
+    return make_from_table(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(groups(32), dihedral_groups()))
+def test_generating_set_is_unchanged(g):
+    assert generating_set(g) == old_generating_set(g)
+
+
+@st.composite
+def contexts(draw):
+    """Contexts whose d or composition table may break the monoid laws."""
+    g = draw(st.sampled_from(SMALL_GROUPS))
+    n = draw(st.integers(0, 3))
+    comp = [list(row) for row in composition_table(g)]
+    size = len(comp)
+    if draw(st.booleans()):  # one corrupted composition entry
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        comp[i][j] = draw(st.integers(0, size - 1))
+    if g.cyclic_generator is not None and draw(st.booleans()):
+        values = build_degree_hom(g, n).values
+    else:  # a DegreeHom that need not be multiplicative
+        values = tuple(
+            draw(st.lists(st.integers(0, g.order - 1), min_size=size, max_size=size))
+        )
+    dhom = DegreeHom(group=g, n=n, values=values, provenance="user-supplied")
+    return MonoidContext(g, n, dhom, tuple(map(tuple, comp)))
+
+
+class TestClosure:
+    @PROPERTY
+    @given(contexts())
+    def test_same_answer_as_every_pair(self, ctx):
+        elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
+        every_pair = all(ctx.is_valid(ctx.multiply(x, y)) for x in elems for y in elems)
+        assert closed_in_window(ctx, elems) == every_pair
+
+    def test_an_invalid_element_fails_closure(self):
+        ctx = MonoidContext(
+            make_cyclic(3), 1, DegreeHom(make_cyclic(3), 1, (0, 1, 1), "user-supplied")
+        )
+        assert closed_in_window(ctx, list(ctx.elements_in_window(10)))
+        assert not closed_in_window(ctx, [ctx.identity(), ctx.identity()._replace(k=2)])
+
+
+def old_sampled_failures(ctx) -> int:
+    """The sampling loop that ``check`` ran inline before ``monoid_axioms``."""
+    rng = random.Random(0)
+    ident = ctx.identity()
+    elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
+    failures = 0
+    for _ in range(10_000):
+        x, y, z = (rng.choice(elems) for _ in range(3))
+        if ctx.multiply(ctx.multiply(x, y), z) != ctx.multiply(x, ctx.multiply(y, z)):
+            failures += 1
+        if ctx.multiply(x, ident) != x or ctx.multiply(ident, x) != x:
+            failures += 1
+    return failures
+
+
+class TestAxiomSuite:
+    def test_sound_context_passes(self):
+        assert monoid_axioms(monoid_context(make_cyclic(6), 2)) == (0, True)
+
+    def test_samples_the_same_triples_as_before(self):
+        # 0 o 0 -> 2 keeps every product valid (d(0) = d(2) = 0) but breaks
+        # associativity, so the count depends on exactly which triples are drawn
+        g = make_cyclic(4)
+        comp = [list(row) for row in composition_table(g)]
+        comp[0][0] = 2
+        ctx = MonoidContext(g, 1, build_degree_hom(g, 1), tuple(map(tuple, comp)))
+        failures, closure_ok = monoid_axioms(ctx)
+        assert closure_ok
+        assert failures == old_sampled_failures(ctx) > 0
