@@ -58,16 +58,19 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return make_cyclic(order) if kind == "cyclic" else make_generalized_quaternion(order)
 
 
+def _user_dtable(args) -> dict[int, int] | None:
+    """The values of ``--d-table``, if given; refused if built for another n."""
+    if not args.d_table:
+        return None
+    file_n, table = load_dtable(args.d_table)
+    if file_n is not None and file_n != args.n:
+        raise InputError(f"d-table was built for n={file_n} but --n is {args.n}")
+    return table
+
+
 def _resolve_context(args) -> MonoidContext:
     group = parse_group_spec(args.group)
-    table = None
-    if args.d_table:
-        file_n, table = load_dtable(args.d_table)
-        if file_n is not None and file_n != args.n:
-            raise InputError(
-                f"d-table was built for n={file_n} but --n is {args.n}"
-            )
-    return monoid_context(group, args.n, table)
+    return monoid_context(group, args.n, _user_dtable(args))
 
 
 def coset_representative(d: int, m: int) -> int:
@@ -301,11 +304,8 @@ def cmd_check(args) -> int:
         }
     )
 
-    table = None
-    if args.d_table:
-        _, table = load_dtable(args.d_table)
     try:
-        ctx = monoid_context(group, args.n, table)
+        ctx = monoid_context(group, args.n, _user_dtable(args))
     except (UnsupportedGroupError, ValidationError) as exc:
         suites.append({"suite": "degree-hom", "passed": False, "detail": str(exc)})
         report = {"command": "check", "passed": False, "rows": suites}

@@ -11,17 +11,20 @@ Those |G|*|S| edge checks imply the homomorphism law on all of G x G
 
 The same fact keys composition: a o b is found by its images on S,
 a(b(s)), so each entry of the composition table costs O(|S|).
+
+End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
+:func:`_enumerate`), with its composition table, computed once.  Two group
+objects share nothing, even when equal, and End(G) is freed with its group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
-from typing import NamedTuple
 
 from .errors import DomainMismatchError, SizeCapError
-from .groups import FiniteGroup, element_order, greedy_generators, max_order
+from .groups import FiniteGroup, greedy_generators, max_order
 
 
 @dataclass(frozen=True)
@@ -82,20 +85,28 @@ def _extend(
     return tuple(phi)
 
 
-class _EndData(NamedTuple):
+@dataclass(eq=False)
+class _EndData:
     """End(G) in canonical order, indexed by images of the generating set."""
 
+    group: FiniteGroup
     endos: tuple[Endomorphism, ...]
     gens: tuple[int, ...]
     index: dict[tuple[int, ...], int]  # generator images -> canonical index
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return composition_table(self.group)
 
-@lru_cache(maxsize=None)
+
 def _enumerate(g: FiniteGroup) -> _EndData:
+    """End(G), searched on the first call for ``g`` and kept on it."""
+    if "_end" in g.__dict__:
+        return g.__dict__["_end"]
     if g.order > max_order():
         raise SizeCapError(f"order {g.order} exceeds cap {max_order()}")
     gens = generating_set(g)
-    orders = [element_order(g, x) for x in range(g.order)]
+    orders = g.element_orders
     candidates = [
         [y for y in range(g.order) if orders[s] % orders[y] == 0] for s in gens
     ]
@@ -116,7 +127,7 @@ def _enumerate(g: FiniteGroup) -> _EndData:
         for i, images in enumerate(found)
     )
     index = {tuple(images[s] for s in gens): i for i, images in enumerate(found)}
-    return _EndData(endos, tuple(gens), index)
+    return g.__dict__.setdefault("_end", _EndData(g, endos, tuple(gens), index))
 
 
 def enumerate_endomorphisms(g: FiniteGroup) -> list[Endomorphism]:
@@ -150,7 +161,8 @@ def endomorphisms_to_json(endos: list[Endomorphism]) -> list[list[int]]:
 
 def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Index-level composition: entry [i][j] is the index of endo_i o endo_j."""
-    endos, gens, index = _enumerate(g)
+    data = _enumerate(g)
+    endos, gens, index = data.endos, data.gens, data.index
     if not gens:  # trivial group
         return ((0,),)
     by_point = list(zip(*(a.images for a in endos)))  # by_point[v][i] = endo_i(v)
@@ -160,3 +172,8 @@ def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
         for b in endos
     ]
     return tuple(zip(*columns))
+
+
+def stored_composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """:func:`composition_table` of ``g``, computed on first use and kept with End(G)."""
+    return _enumerate(g).table

@@ -76,6 +76,10 @@ class IncompleteTableError(ValidationError):
     """User degree table does not cover every endomorphism."""
 
 
+class UnknownIndexError(ValidationError):
+    """User degree table has entries for indices outside End(G)."""
+
+
 class NotAHomomorphismError(ValidationError):
     """User degree table violates multiplicativity; carries a witness."""
 

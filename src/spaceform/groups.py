@@ -23,6 +23,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from pathlib import Path
 
 from .errors import (
@@ -54,20 +55,15 @@ def max_order() -> int:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group: ``table[x][y]`` is the product x*y, identity is 0."""
+    """A finite group: ``table[x][y]`` is the product x*y, identity is 0.
+
+    What is derived from the table (element orders, End(G), ...) is
+    computed at most once and kept in ``__dict__``, out of ``==`` and hash.
+    """
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    inverses: tuple[int, ...]
     name: str = ""
-
-    def power(self, x: int, e: int) -> int:
-        if e < 0:
-            x, e = self.inverses[x], -e
-        acc = 0
-        for _ in range(e):
-            acc = self.table[acc][x]
-        return acc
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -75,22 +71,27 @@ class FiniteGroup:
         return all(t[x][y] == t[y][x] for x in range(n) for y in range(x))
 
     @cached_property
-    def cyclic_generator(self) -> int | None:
-        """Some element of full order, or None if the group is not cyclic."""
-        return next(
-            (x for x in range(self.order) if element_order(self, x) == self.order),
-            None,
-        )
+    def element_orders(self) -> tuple[int, ...]:
+        """ord(x) for every x, one walk per cyclic subgroup not yet covered.
+
+        The walk of x passes x^k, whose order is ord(x) / gcd(k, ord(x)).
+        """
+        t = self.table
+        orders = [0] * self.order
+        for x in range(self.order):
+            if not orders[x]:
+                powers = [x]
+                while powers[-1]:
+                    powers.append(t[powers[-1]][x])
+                for k, y in enumerate(powers, 1):
+                    orders[y] = len(powers) // gcd(k, len(powers))
+        return tuple(orders)
 
     @cached_property
-    def _hash(self) -> int:
-        # Equal groups have equal tables.  A table of ints hashes the same in
-        # every process, so the cached value survives pickling.
-        return hash(self.table)
-
-    def __hash__(self) -> int:
-        # hashing the table costs O(|G|^2), and every cache keyed by the group pays it
-        return self._hash
+    def cyclic_generator(self) -> int | None:
+        """Some element of full order, or None if the group is not cyclic."""
+        orders = self.element_orders
+        return orders.index(self.order) if self.order in orders else None
 
     def __repr__(self) -> str:
         label = self.name or "group"
@@ -169,10 +170,6 @@ def _first_nonassociative(
     return None
 
 
-def _inverses(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    return tuple(row.index(0) for row in table)
-
-
 def _finish(table: tuple[tuple[int, ...], ...], name: str) -> FiniteGroup:
     n = len(table)
     if n == 0:
@@ -186,7 +183,7 @@ def _finish(table: tuple[tuple[int, ...], ...], name: str) -> FiniteGroup:
         table = tuple(
             tuple(perm[table[perm[x]][perm[y]]] for y in range(n)) for x in range(n)
         )
-    return FiniteGroup(order=n, table=table, inverses=_inverses(table), name=name)
+    return FiniteGroup(order=n, table=table, name=name)
 
 
 def make_cyclic(m: int) -> FiniteGroup:
@@ -263,11 +260,7 @@ def element_order(g: FiniteGroup, x: int) -> int:
     """Least t >= 1 with x^t = identity."""
     if not 0 <= x < g.order:
         raise StructureError(f"element index {x} out of range")
-    acc, t = x, 1
-    while acc != 0:
-        acc = g.table[acc][x]
-        t += 1
-    return t
+    return g.element_orders[x]
 
 
 @dataclass(frozen=True)
@@ -299,16 +292,10 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def rank_one_check(g: FiniteGroup) -> AdmissibilityReport:
-    counts = []
-    failing = []
-    for p in _prime_divisors(g.order):
-        c = sum(1 for x in range(g.order) if g.power(x, p) == 0)
-        counts.append((p, c))
-        if c > p:
-            failing.append(p)
-    return AdmissibilityReport(
-        counts=tuple(counts), passed=not failing, failing_primes=tuple(failing)
-    )
+    orders = g.element_orders  # x^p = e iff ord(x) divides p
+    counts = tuple((p, sum(p % o == 0 for o in orders)) for p in _prime_divisors(g.order))
+    failing = tuple(p for p, c in counts if c > p)
+    return AdmissibilityReport(counts=counts, passed=not failing, failing_primes=failing)
 
 
 # --- group-table file format: {"order": m, "table": [[...], ...]} ---

@@ -17,9 +17,9 @@ from typing import Iterator, NamedTuple
 from .degree import DegreeHom, build_degree_hom
 from .endomorphisms import (
     Endomorphism,
-    composition_table,
     enumerate_endomorphisms,
     identity_endomorphism,
+    stored_composition_table,
 )
 from .errors import DomainMismatchError, NotRealizableError
 from .groups import FiniteGroup
@@ -81,14 +81,14 @@ class MonoidContext:
         dhom: DegreeHom,
         comp: tuple[tuple[int, ...], ...] | None = None,
     ):
-        """``comp`` is the composition table of ``group``, if already computed."""
+        """``comp`` replaces the stored composition table (tests corrupt it)."""
         if dhom.group != group or dhom.n != n:
             raise DomainMismatchError("degree homomorphism does not match (G, n)")
         self.group = group
         self.n = n
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
-        self._comp = composition_table(group) if comp is None else comp
+        self._comp = stored_composition_table(group) if comp is None else comp
         self._d = dhom.values
         self._order = group.order
         self._size = len(self.endos)
@@ -207,11 +207,10 @@ def monoid_context(
 ) -> MonoidContext:
     """Build M(G, n), using the built-in d for cyclic groups.
 
-    A user d-table is law-checked against the same composition table the
-    context multiplies with, so the table is computed once either way.
+    A user d-table is law-checked against the composition table that the
+    context multiplies with: the one stored with End(G) on ``group``.
     """
-    comp = None if user_table is None else composition_table(group)
-    return MonoidContext(group, n, build_degree_hom(group, n, user_table, comp), comp)
+    return MonoidContext(group, n, build_degree_hom(group, n, user_table))
 
 
 AXIOM_SAMPLES = 10_000

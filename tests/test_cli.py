@@ -299,6 +299,37 @@ class TestInfrastructure:
         assert code == EXIT_INPUT
         assert "n=2" in err
 
+    def test_check_refuses_a_dtable_built_for_another_n(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"n": 1, "values": {str(i): 1 for i in range(28)}}))
+        for sub in ("monoid", "check"):
+            code, out, err = run(
+                capsys, sub, "--group", "quaternion:8", "--n", "2", "--d-table", str(path)
+            )
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == "input error: d-table was built for n=1 but --n is 2\n"
+
+    @pytest.mark.parametrize("sub", ["monoid", "check"])
+    def test_dtable_indices_outside_end_exit_2(self, capsys, tmp_path, sub):
+        values = {str(i): 1 for i in range(28)}
+        values.update({"999": 1, "-1": 1})
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"n": 1, "values": values}))
+        code, out, err = run(
+            capsys, sub, "--group", "quaternion:8", "--n", "1", "--d-table", str(path),
+            "--format", "json",
+        )
+        assert code == EXIT_VALIDATION
+        message = "d-table has entries for unknown endomorphism indices [-1, 999]"
+        if sub == "check":
+            suites = {s["suite"]: s for s in json.loads(out)["rows"]}
+            assert suites["degree-hom"]["passed"] is False
+            assert suites["degree-hom"]["detail"].startswith(message)
+        else:
+            assert out == ""
+            assert err.startswith(f"validation error: {message}")
+
     def test_invalid_order_is_input_error(self, capsys):
         code, _, _ = run(capsys, "monoid", "--group", "cyclic:0", "--n", "1")
         assert code == EXIT_INPUT

@@ -17,7 +17,9 @@ from spaceform.errors import (
     InvalidDimensionError,
     InvalidTableError,
     NotAHomomorphismError,
+    UnknownIndexError,
     UnsupportedGroupError,
+    ValidationError,
 )
 from tests.conftest import naive_power_mod
 
@@ -112,6 +114,22 @@ class TestUserTables:
     def test_missing_entries(self, q8):
         with pytest.raises(IncompleteTableError):
             build_degree_hom(q8, 1, {0: 1})
+
+    def test_indices_outside_end_are_named(self, q8):
+        table = {i: 1 for i in range(28)}  # |End(Q8)| = 28
+        table.update({999: 1, -1: 1, 28: 1})
+        with pytest.raises(UnknownIndexError) as exc:
+            build_degree_hom(q8, 1, table)
+        assert isinstance(exc.value, ValidationError)
+        assert str(exc.value) == (
+            "d-table has entries for unknown endomorphism indices [-1, 28, 999] "
+            "(End(G) has 0..27)"
+        )
+
+    def test_table_for_a_larger_group_is_rejected(self, q8):
+        # the all-ones table of Q16 (|End| = 36) holds every law on Q8 too
+        with pytest.raises(UnknownIndexError, match=r"\[28, 29, .*, 35\]"):
+            build_degree_hom(q8, 1, {i: 1 for i in range(36)})
 
     def test_identity_violation_on_c3(self):
         g = make_cyclic(3)

@@ -9,7 +9,9 @@ here is written in this file or in ``conftest`` and shares no code with
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 from math import gcd
 
 import pytest
@@ -18,12 +20,14 @@ from hypothesis import strategies as st
 
 from spaceform import (
     build_degree_hom,
+    cross_check,
     direct_product,
     enumerate_endomorphisms,
     make_cyclic,
     make_from_table,
     make_generalized_quaternion,
     monoid_context,
+    rank_one_check,
     validate_degree_hom,
 )
 from spaceform import endomorphisms
@@ -203,3 +207,72 @@ def test_builtin_context_computes_composition_table_once(monkeypatch):
     calls = count_composition_tables(monkeypatch)
     monoid_context(make_cyclic(9), 2)
     assert len(calls) == 1
+
+
+def count_end_searches(monkeypatch) -> list:
+    """Log each End(G) search: every search starts from ``generating_set``."""
+    real = endomorphisms.generating_set
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(endomorphisms, "generating_set", counting)
+    return calls
+
+
+def test_one_group_computes_end_and_its_table_once(monkeypatch):
+    g = make_cyclic(10)
+    tables = count_composition_tables(monkeypatch)
+    searches = count_end_searches(monkeypatch)
+    contexts = [monoid_context(g, 1), monoid_context(g, 2)]
+    assert validate_degree_hom(contexts[1].dhom).passed
+    assert cross_check(g, 2, 12).passed
+    assert len(tables) == 1
+    assert len(searches) == 1
+
+
+def test_equal_groups_do_not_share_end():
+    a, b = make_generalized_quaternion(8), make_generalized_quaternion(8)
+    assert a == b and a is not b
+    end_a, end_b = enumerate_endomorphisms(a), enumerate_endomorphisms(b)
+    assert [e.images for e in end_a] == [e.images for e in end_b]
+    assert all(e.group is a for e in end_a)
+    assert all(e.group is b for e in end_b)
+
+
+def test_group_and_its_contexts_are_freed():
+    g = make_generalized_quaternion(16)
+    size = len(enumerate_endomorphisms(g))
+    ctx = monoid_context(g, 1, {i: 1 for i in range(size)})
+    assert validate_degree_hom(ctx.dhom).passed
+    refs = [weakref.ref(g), weakref.ref(ctx), weakref.ref(ctx.endos[0])]
+    del g, ctx
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def naive_power(g, x: int, e: int) -> int:
+    """x^e by e multiplications."""
+    acc = 0
+    for _ in range(e):
+        acc = g.table[acc][x]
+    return acc
+
+
+@PROPERTY
+@given(groups(24))
+def test_element_orders_and_rank_one_counts_match_a_power_loop(g):
+    n = g.order
+    orders = tuple(
+        next(t for t in range(1, n + 1) if naive_power(g, x, t) == 0) for x in range(n)
+    )
+    assert g.element_orders == orders
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    counts = tuple(
+        (p, sum(1 for x in range(n) if naive_power(g, x, p) == 0)) for p in primes
+    )
+    report = rank_one_check(g)
+    assert report.counts == counts
+    assert report.passed == all(c <= p for p, c in counts)

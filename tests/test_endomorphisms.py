@@ -71,12 +71,8 @@ class TestEnumeration:
     def test_cap_exceeded(self, monkeypatch):
         g = make_cyclic(20)
         monkeypatch.setenv("SPACEFORM_MAX_ORDER", "10")
-        from spaceform.endomorphisms import _enumerate
-
-        _enumerate.cache_clear()
         with pytest.raises(SizeCapError):
             enumerate_endomorphisms(g)
-        _enumerate.cache_clear()
 
 
 class TestGeneratingSet:

@@ -310,7 +310,7 @@ class TestHash:
 
     def test_equality_ignores_the_cached_hash(self):
         a, b = make_cyclic(6), make_cyclic(6)
-        hash(a)  # only a has its hash cached
+        hash(a)  # only a has been hashed
         assert a == b and b == a
         assert make_cyclic(6) != direct_product(make_cyclic(2), make_cyclic(3))
 
