@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -312,15 +313,20 @@ def cmd_check(args) -> int:
         emit(report, args)
         return EXIT_VALIDATION
 
-    dv = validate_degree_hom(ctx.dhom)
+    # build_degree_hom refuses a user table that breaks any law, so only the
+    # built-in d is law-checked here
+    law_failures = (
+        () if ctx.dhom.provenance == "user-supplied"
+        else validate_degree_hom(ctx.dhom).failures
+    )
     suites.append(
         {
             "suite": "degree-hom",
-            "passed": dv.passed,
-            "detail": "; ".join(f.message for f in dv.failures) or "all laws hold",
+            "passed": not law_failures,
+            "detail": "; ".join(f.message for f in law_failures) or "all laws hold",
         }
     )
-    ok &= dv.passed
+    ok &= not law_failures
 
     failures, closure_ok = monoid_axioms(ctx)
     suites.append(
@@ -383,7 +389,9 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="spaceform",
         description="Exact self-map monoids of spherical space forms.",
@@ -406,38 +414,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monoid", help="describe M(G, n)")
     common(p)
-    p.set_defaults(func=cmd_monoid)
 
     p = sub.add_parser("equiv", help="the group of units E(G, n)")
     common(p)
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("even", help="the monoid of self-maps of RP^(2n)")
     common(p, group=False)
-    p.set_defaults(func=cmd_even)
 
     p = sub.add_parser("degrees", help="realizability of specific degrees")
     common(p)
     p.add_argument("k", type=int, nargs="+", help="degrees to query")
-    p.set_defaults(func=cmd_degrees)
 
     p = sub.add_parser("check", help="run all invariant suites")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("census", help="summary over a family of cyclic groups")
     p.add_argument("--max-order", type=int, default=24)
     common(p, group=False)
-    p.set_defaults(func=cmd_census)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound in the cached parser, so that a wrapped
+    # or patched cmd_* is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,6 +14,8 @@ Associativity is decided exactly by Light's test (Clifford & Preston,
 for y, y' in T.  T contains the identity, so once it contains a set A
 whose products, grown from the identity, reach every element, T is the
 whole table.  Checking y in A only costs O(n^2 |A|) instead of O(n^3).
+The argument uses no inverses, so it decides associativity of any finite
+table with a two-sided identity, such as the composition table of End(G).
 """
 
 from __future__ import annotations
@@ -103,7 +105,9 @@ def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> lis
 
     An element is reached when it is a product (((ident*a1)*a2)*...)*ak of
     chosen generators; in a finite group these products form the subgroup
-    the generators generate.  The table must be a Latin square.
+    the generators generate.  Any square table will do, provided ``ident``
+    is a left identity: then each new generator a = ident*a is reached at
+    once.  Otherwise the walk may never end.
     """
     n = len(table)
     reached = [False] * n
@@ -147,13 +151,13 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
         raise NotAGroupError("table has no two-sided identity")
     # Light's test (module docstring) decides; only when it fails does the
     # O(n^3) scan over every y run, to name the lexicographically first witness
-    if _first_nonassociative(table, greedy_generators(table, ident)):
-        x, y, z = _first_nonassociative(table, range(n))
+    if first_nonassociative(table, greedy_generators(table, ident)):
+        x, y, z = first_nonassociative(table, range(n))
         raise NotAGroupError(f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})")
     return ident
 
 
-def _first_nonassociative(
+def first_nonassociative(
     table: tuple[tuple[int, ...], ...], ys
 ) -> tuple[int, int, int] | None:
     """The first (x, y, z), y in ``ys``, with (x*y)*z != x*(y*z), or None.

@@ -5,15 +5,20 @@
 - ``monoid_odd.closed_in_window`` checks closure with one product per pair
   of endomorphisms; the reference is the product of every pair of
   window elements.
+- ``monoid_odd.monoid_axioms`` decides the axioms from End(G)'s
+  composition table by an identity check and Light's test; the
+  references are every triple of the table and the 10 000 sampled
+  triples it drew before.
 
-Both references are written out here and share no code with the package.
+The references are written out here and share no code with the package.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spaceform import (
@@ -24,11 +29,17 @@ from spaceform import (
     make_generalized_quaternion,
     monoid_context,
 )
+from spaceform import monoid_odd
 from spaceform.degree import DegreeHom
 from spaceform.endomorphisms import composition_table, generating_set
-from spaceform.errors import NotAGroupError, StructureError
+from spaceform.errors import DomainMismatchError, NotAGroupError, StructureError
 from spaceform.groups import _check_table
-from spaceform.monoid_odd import MonoidContext, closed_in_window, monoid_axioms
+from spaceform.monoid_odd import (
+    MonoidContext,
+    closed_in_window,
+    is_monoid_table,
+    monoid_axioms,
+)
 from tests.test_end_properties import groups
 
 PROPERTY = settings(
@@ -211,6 +222,19 @@ def contexts(draw):
     return MonoidContext(g, n, dhom, tuple(map(tuple, comp)))
 
 
+@st.composite
+def closed_contexts(draw):
+    """Cyclic contexts with the built-in d and at most one corrupted composition
+    entry that keeps d of the product, so every product stays a valid element."""
+    g = draw(st.sampled_from([g for g in SMALL_GROUPS if g.cyclic_generator is not None]))
+    dhom = build_degree_hom(g, draw(st.integers(0, 3)))
+    comp = [list(row) for row in composition_table(g)]
+    i, j = draw(st.integers(0, len(comp) - 1)), draw(st.integers(0, len(comp) - 1))
+    d = dhom.values
+    comp[i][j] = draw(st.sampled_from([c for c in range(len(comp)) if d[c] == d[comp[i][j]]]))
+    return MonoidContext(g, dhom.n, dhom, tuple(map(tuple, comp)))
+
+
 class TestClosure:
     @PROPERTY
     @given(contexts())
@@ -242,9 +266,29 @@ def old_sampled_failures(ctx) -> int:
     return failures
 
 
+# C_3 with d = 1 and the composition x o y = y: associative, every product
+# valid, but the identity endomorphism is only a left identity
+RIGHT_ZERO = MonoidContext(
+    make_cyclic(3),
+    1,
+    DegreeHom(make_cyclic(3), 1, (1, 1, 1), "user-supplied"),
+    ((0, 1, 2),) * 3,
+)
+
+
 class TestAxiomSuite:
-    def test_sound_context_passes(self):
-        assert monoid_axioms(monoid_context(make_cyclic(6), 2)) == (0, True)
+    def test_sound_context_passes(self, monkeypatch):
+        def no_draw(*args):
+            pytest.fail("a triple was drawn")
+
+        sound = [
+            monoid_context(make_cyclic(6), 2),
+            monoid_context(make_cyclic(12), 2),
+            monoid_context(make_generalized_quaternion(8), 1, {i: 1 for i in range(28)}),
+        ]
+        monkeypatch.setattr(monoid_odd.random, "Random", no_draw)
+        for ctx in sound:
+            assert monoid_axioms(ctx) == (0, True)
 
     def test_samples_the_same_triples_as_before(self):
         # 0 o 0 -> 2 keeps every product valid (d(0) = d(2) = 0) but breaks
@@ -256,3 +300,33 @@ class TestAxiomSuite:
         failures, closure_ok = monoid_axioms(ctx)
         assert closure_ok
         assert failures == old_sampled_failures(ctx) > 0
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(contexts(), closed_contexts()))
+    @example(RIGHT_ZERO)
+    def test_same_result_as_the_sampling_loop(self, ctx):
+        try:
+            expected = old_sampled_failures(ctx)
+        except DomainMismatchError:  # the old loop met an invalid product
+            return
+        elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
+        every_pair = all(ctx.is_valid(ctx.multiply(x, y)) for x in elems for y in elems)
+        assert monoid_axioms(ctx) == (expected, every_pair)
+
+
+def every_triple_is_a_monoid(comp, ident) -> bool:
+    """Both identity laws for ``ident`` and associativity of every triple."""
+    n = len(comp)
+    return all(comp[ident][x] == x == comp[x][ident] for x in range(n)) and all(
+        comp[comp[x][y]][z] == comp[x][comp[y][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+@PROPERTY
+@given(contexts())
+def test_exact_decision_agrees_with_every_triple(ctx):
+    comp, ident = ctx._comp, ctx.identity_index
+    assert is_monoid_table(comp, ident) == every_triple_is_a_monoid(comp, ident)
