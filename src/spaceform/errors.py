@@ -65,7 +65,7 @@ class InvalidDimensionError(InputError):
 
 
 class InvalidWindowError(InputError):
-    """A degree window below 1 where the cross-check needs one."""
+    """A degree window below 1, or above the cross-check's cost cap."""
 
 
 class NotOddError(InputError):

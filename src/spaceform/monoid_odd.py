@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product, starmap
 from typing import Iterator, NamedTuple
 
 from .degree import DegreeHom, build_degree_hom
@@ -216,22 +215,6 @@ def monoid_context(
 AXIOM_SAMPLES = 10_000
 
 
-def closed_in_window(ctx: MonoidContext, elems: list[SpaceFormElement]) -> bool:
-    """Whether every element of ``elems`` and every product of two is valid.
-
-    Exact with one product per pair of endomorphisms: for valid x and y the
-    product (alpha_x o alpha_y, k_x * k_y) is valid iff
-    k_x * k_y = d(alpha_x o alpha_y) mod |G|, and k_x * k_y = d(alpha_x) *
-    d(alpha_y) mod |G|, so the answer depends on the two alphas alone.
-    """
-    is_valid = ctx.is_valid
-    multiply = ctx.multiply
-    if not all(map(is_valid, elems)):
-        return False
-    reps = list({x.alpha: x for x in elems}.values())
-    return all(map(is_valid, starmap(multiply, product(reps, repeat=2))))
-
-
 def is_monoid_table(comp: tuple[tuple[int, ...], ...], ident: int) -> bool:
     """Whether ``comp`` is associative with two-sided identity ``ident``.
 
@@ -246,24 +229,23 @@ def is_monoid_table(comp: tuple[tuple[int, ...], ...], ident: int) -> bool:
     return first_nonassociative(comp, greedy_generators(comp, ident)) is None
 
 
-def monoid_axioms(ctx: MonoidContext) -> tuple[int, bool]:
-    """The monoid axioms on the elements with |degree| <= 3|G| + 1.
-
-    Returns the number of associativity and identity failures among
-    AXIOM_SAMPLES triples drawn from ``random.Random(0)`` (the same
-    triples on every run), and whether the window is closed under the
-    product, which is checked exactly.
+def monoid_axioms(ctx: MonoidContext) -> int:
+    """The number of monoid-axiom failures on the elements with |degree| <= 3|G| + 1.
 
     Degrees multiply as integers, so when End(G)'s composition table is
     a monoid with identity id and (id, 1) is an element, every triple
-    associates and (id, 1) is a two-sided identity.  That is decided
-    exactly first; the triples are drawn only when it fails, to count
-    the failures.
+    associates and (id, 1) is a two-sided identity: that is decided
+    exactly, and the count is 0.  Otherwise the associativity and
+    identity failures are counted among AXIOM_SAMPLES triples of window
+    elements drawn from ``random.Random(0)`` (the same triples on every
+    run).  Closure of the window is not tested here: the window holds
+    every endomorphism, so closure is multiplicativity of d, which
+    ``validate_degree_hom`` decides.
     """
-    elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
     ident = ctx.identity()
     if ctx.is_valid(ident) and is_monoid_table(ctx._comp, ctx.identity_index):
-        return 0, closed_in_window(ctx, elems)
+        return 0
+    elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
     choice = random.Random(0).choice
     multiply = ctx.multiply
     failures = 0
@@ -275,4 +257,4 @@ def monoid_axioms(ctx: MonoidContext) -> tuple[int, bool]:
             failures += 1
         if multiply(x, ident) != x or multiply(ident, x) != x:
             failures += 1
-    return failures, closed_in_window(ctx, elems)
+    return failures

@@ -1,18 +1,22 @@
+import dataclasses
 import json
 
 import pytest
 
+from spaceform import monoid_odd
 from spaceform.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_CHECK_WINDOW,
     coset_representative,
     main,
     parse_group_spec,
     render_json,
 )
 from spaceform.degree import _law_failures as law_failures
-from spaceform.errors import GroupSpecError
+from spaceform.errors import GroupSpecError, InputError
+from spaceform.monoid_odd import MonoidContext
 from tests.test_groups import NONASSOC_5
 
 KLEIN_4 = {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
@@ -216,6 +220,33 @@ class TestCheckCommand:
         assert out == ""
         assert err == f"input error: window must be >= 1, got {window}\n"
 
+    @pytest.mark.parametrize("spec", ["cyclic:5", "quaternion:8"])
+    @pytest.mark.parametrize("window", ["1001", "10000"])
+    def test_window_above_the_cap_exits_1_before_any_suite(
+        self, capsys, monkeypatch, spec, window
+    ):
+        def no_suite(*args):
+            pytest.fail("a suite ran")
+
+        monkeypatch.setattr("spaceform.cli.rank_one_check", no_suite)
+        monkeypatch.setattr("spaceform.cli.monoid_context", no_suite)
+        code, out, err = run(capsys, "check", "--group", spec, "--n", "1", "--window", window)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"input error: window must be <= 1000, got {window}\n"
+
+    def test_window_at_the_cap_reaches_the_suites(self, capsys, monkeypatch):
+        def first_suite(*args):
+            raise InputError("the first suite ran")
+
+        monkeypatch.setattr("spaceform.cli.rank_one_check", first_suite)
+        code, _, err = run(
+            capsys, "check", "--group", "cyclic:5", "--n", "1",
+            "--window", str(MAX_CHECK_WINDOW),
+        )
+        assert code == EXIT_INPUT
+        assert err == "input error: the first suite ran\n"
+
     @pytest.mark.parametrize("sub", ["monoid", "check"])
     def test_negative_n_exits_1(self, capsys, sub):
         code, out, err = run(capsys, sub, "--group", "cyclic:5", "--n", "-1")
@@ -271,6 +302,44 @@ class TestCheckCommand:
                 "suite": "oracle-cross-check",
             },
         ]
+
+    def test_a_non_multiplicative_builtin_d_fails_closure(self, capsys, monkeypatch):
+        build_degree_hom = monoid_odd.build_degree_hom
+
+        def broken(g, n, user_table=None):  # d(zero endo 0) = 2 instead of 0
+            d = build_degree_hom(g, n, user_table)
+            return dataclasses.replace(d, values=(2, *d.values[1:]))
+
+        monkeypatch.setattr(monoid_odd, "build_degree_hom", broken)
+        code, out, _ = run(capsys, "check", "--group", "cyclic:5", "--n", "1", "--format", "json")
+        assert code == EXIT_VALIDATION
+        report = json.loads(out)
+        assert report["passed"] is False
+        degree_hom, axioms = report["rows"][1:3]
+        assert degree_hom["passed"] is False
+        assert degree_hom["detail"].startswith(
+            "d(endo 0 o endo 0) = 2 != d(0)*d(0) = 4 mod 5; "
+        )
+        assert axioms == {
+            "detail": "0 axiom failures over 10000 sampled triples; "
+            "closure fails in window",
+            "passed": False,
+            "suite": "monoid-axioms",
+        }
+
+    def test_a_sound_check_makes_no_product_outside_the_oracle(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_element(*args):
+            pytest.fail("a window element was built or multiplied")
+
+        monkeypatch.setattr(MonoidContext, "elements_in_window", no_element)
+        monkeypatch.setattr(MonoidContext, "multiply", no_element)
+        code, _, _ = run(  # Q8: the oracle suite is skipped
+            capsys, "check", "--group", "quaternion:8", "--n", "1",
+            "--d-table", str(all_ones_q8(tmp_path)),
+        )
+        assert code == EXIT_OK
 
     def test_a_user_dtable_is_law_checked_once(self, capsys, monkeypatch, tmp_path):
         calls = []
