@@ -8,15 +8,12 @@ cross-validation on cyclic groups.
 
 from .degree import DegreeHom, build_degree_hom, validate_degree_hom
 from .endomorphisms import (
-    Endomorphism,
     compose,
     enumerate_automorphisms,
     enumerate_endomorphisms,
     identity_endomorphism,
 )
 from .groups import (
-    AdmissibilityReport,
-    FiniteGroup,
     direct_product,
     element_order,
     load_group,
@@ -25,22 +22,16 @@ from .groups import (
     make_generalized_quaternion,
     rank_one_check,
 )
-from .monoid_even import A0, A2, EvenElement, canonicalize, identity_even, multiply_even, odd
-from .monoid_odd import EquivalenceGroup, MonoidContext, SpaceFormElement, monoid_context
-from .selfmap_oracle import CrossCheckReport, OracleContext, SelfMapClass, compose_selfmaps, cross_check
+from .monoid_even import A0, A2, canonicalize, identity_even, multiply_even, odd
+from .monoid_odd import MonoidContext, SpaceFormElement, monoid_context
+from .selfmap_oracle import OracleContext, SelfMapClass, compose_selfmaps, cross_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "A0",
     "A2",
-    "AdmissibilityReport",
-    "CrossCheckReport",
     "DegreeHom",
-    "Endomorphism",
-    "EquivalenceGroup",
-    "EvenElement",
-    "FiniteGroup",
     "MonoidContext",
     "OracleContext",
     "SelfMapClass",

@@ -8,13 +8,14 @@ from spaceform.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
-    MAX_CHECK_WINDOW,
+    MAX_WINDOW,
     coset_representative,
     main,
     parse_group_spec,
     render_json,
 )
 from spaceform.degree import _law_failures as law_failures
+from spaceform.endomorphisms import stored_composition_table
 from spaceform.errors import GroupSpecError, InputError
 from spaceform.monoid_odd import MonoidContext
 from tests.test_groups import NONASSOC_5
@@ -73,6 +74,32 @@ class TestMonoidCommand:
         code, _, err = run(capsys, "monoid", "--group", "quaternion:8", "--n", "1")
         assert code == EXIT_INPUT
         assert "d-table" in err
+
+    @pytest.mark.parametrize("spec", ["cyclic:5", "quaternion:8"])
+    @pytest.mark.parametrize(
+        "window,bound", [("0", ">= 1"), ("-3", ">= 1"), ("1001", "<= 1000"), ("1000000", "<= 1000")]
+    )
+    def test_window_outside_1_to_1000_exits_1_before_any_work(
+        self, capsys, monkeypatch, spec, window, bound
+    ):
+        def no_work(*args):
+            pytest.fail("a group or context was built")
+
+        monkeypatch.setattr("spaceform.cli.parse_group_spec", no_work)
+        monkeypatch.setattr("spaceform.cli.monoid_context", no_work)
+        code, out, err = run(capsys, "monoid", "--group", spec, "--n", "1", "--window", window)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"input error: window must be {bound}, got {window}\n"
+
+    @pytest.mark.parametrize("window", ["1", str(MAX_WINDOW)])
+    def test_window_at_the_bounds_is_listed(self, capsys, window):
+        code, out, _ = run(
+            capsys, "monoid", "--group", "cyclic:5", "--n", "1",
+            "--window", window, "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["window"] == int(window)
 
 
 class TestEquivCommand:
@@ -242,7 +269,7 @@ class TestCheckCommand:
         monkeypatch.setattr("spaceform.cli.rank_one_check", first_suite)
         code, _, err = run(
             capsys, "check", "--group", "cyclic:5", "--n", "1",
-            "--window", str(MAX_CHECK_WINDOW),
+            "--window", str(MAX_WINDOW),
         )
         assert code == EXIT_INPUT
         assert err == "input error: the first suite ran\n"
@@ -327,6 +354,47 @@ class TestCheckCommand:
             "suite": "monoid-axioms",
         }
 
+    def test_an_identity_that_is_not_an_element_is_named(self, capsys, monkeypatch):
+        build_degree_hom = monoid_odd.build_degree_hom
+
+        def zero(g, n, user_table=None):  # d = 0, so (id, 1) is not an element
+            d = build_degree_hom(g, n, user_table)
+            return dataclasses.replace(d, values=(0,) * len(d.values))
+
+        monkeypatch.setattr(monoid_odd, "build_degree_hom", zero)
+        code, out, _ = run(capsys, "check", "--group", "cyclic:5", "--n", "1", "--format", "json")
+        assert code == EXIT_VALIDATION
+        rows = json.loads(out)["rows"]
+        assert [r["suite"] for r in rows] == [
+            "admissibility", "degree-hom", "monoid-axioms", "oracle-cross-check"
+        ]
+        assert rows[2] == {
+            "detail": "(id, 1) is not an element: d(identity endo 1) = 0 mod 5; "
+            "closure holds in window",
+            "passed": False,
+            "suite": "monoid-axioms",
+        }
+
+    def test_a_non_associative_table_is_named(self, capsys, monkeypatch):
+        def corrupted(g):  # C_4: 0 o 0 -> 2 keeps d(0) = d(2) = 0
+            comp = [list(row) for row in stored_composition_table(g)]
+            comp[0][0] = 2
+            return tuple(map(tuple, comp))
+
+        monkeypatch.setattr(monoid_odd, "stored_composition_table", corrupted)
+        code, out, _ = run(capsys, "check", "--group", "cyclic:4", "--n", "1", "--format", "json")
+        assert code == EXIT_VALIDATION
+        rows = json.loads(out)["rows"]
+        assert [r["suite"] for r in rows] == [
+            "admissibility", "degree-hom", "monoid-axioms", "oracle-cross-check"
+        ]
+        assert rows[2] == {
+            "detail": "(endo 0 o endo 0) o endo 2 = endo 0 "
+            "!= endo 0 o (endo 0 o endo 2) = endo 2; closure holds in window",
+            "passed": False,
+            "suite": "monoid-axioms",
+        }
+
     def test_a_sound_check_makes_no_product_outside_the_oracle(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -380,6 +448,14 @@ class TestInfrastructure:
         run(capsys, "even", "--n", "1")
         monkeypatch.setattr("spaceform.cli.cmd_even", lambda args: 7)
         assert main(["even", "--n", "1"]) == 7
+
+    def test_window_is_refused_where_it_is_not_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "--group", "cyclic:5", "--n", "1", "--window", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --window 5\n")
 
     def test_json_round_trips_byte_identical(self, capsys):
         _, out, _ = run(

@@ -5,10 +5,10 @@
 - ``check`` decides closure of the window |k| <= 3|G| + 1 from the
   multiplicativity failures of ``validate_degree_hom``; the reference is
   the product of every pair of window elements.
-- ``monoid_odd.monoid_axioms`` decides the axioms from End(G)'s
-  composition table by an identity check and Light's test; the
-  references are every triple of the table and the 10 000 sampled
-  triples it drew before.
+- ``monoid_odd.monoid_axioms`` decides the axioms from d(id) and End(G)'s
+  composition table by an identity check and Light's test; the reference
+  is d(id) = 1 and every triple of the table, and each witness it
+  returns is checked against the table.
 
 The references are written out here and share no code with the package.
 """
@@ -16,6 +16,7 @@ The references are written out here and share no code with the package.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -24,17 +25,17 @@ from hypothesis import strategies as st
 from spaceform import (
     build_degree_hom,
     direct_product,
+    identity_endomorphism,
     make_cyclic,
     make_from_table,
     make_generalized_quaternion,
     monoid_context,
 )
-from spaceform import monoid_odd
 from spaceform.degree import DegreeHom, validate_degree_hom
-from spaceform.endomorphisms import composition_table, generating_set
-from spaceform.errors import DomainMismatchError, NotAGroupError, StructureError
+from spaceform.endomorphisms import composition_table, generating_set, stored_composition_table
+from spaceform.errors import NotAGroupError, StructureError
 from spaceform.groups import _check_table
-from spaceform.monoid_odd import MonoidContext, is_monoid_table, monoid_axioms
+from spaceform.monoid_odd import MonoidContext, monoid_axioms
 from tests.test_end_properties import groups
 
 PROPERTY = settings(
@@ -209,25 +210,12 @@ def contexts(draw):
         comp[i][j] = draw(st.integers(0, size - 1))
     if g.cyclic_generator is not None and draw(st.booleans()):
         values = build_degree_hom(g, n).values
-    else:  # a DegreeHom that need not be multiplicative
-        values = tuple(
-            draw(st.lists(st.integers(0, g.order - 1), min_size=size, max_size=size))
-        )
-    dhom = DegreeHom(group=g, n=n, values=values, provenance="user-supplied")
+    else:  # a DegreeHom that need not be multiplicative, often with d(id) = 1
+        values = draw(st.lists(st.integers(0, g.order - 1), min_size=size, max_size=size))
+        if draw(st.booleans()):
+            values[identity_endomorphism(g).canonical_index] = 1 % g.order
+    dhom = DegreeHom(group=g, n=n, values=tuple(values), provenance="user-supplied")
     return MonoidContext(g, n, dhom, tuple(map(tuple, comp)))
-
-
-@st.composite
-def closed_contexts(draw):
-    """Cyclic contexts with the built-in d and at most one corrupted composition
-    entry that keeps d of the product, so every product stays a valid element."""
-    g = draw(st.sampled_from([g for g in SMALL_GROUPS if g.cyclic_generator is not None]))
-    dhom = build_degree_hom(g, draw(st.integers(0, 3)))
-    comp = [list(row) for row in composition_table(g)]
-    i, j = draw(st.integers(0, len(comp) - 1)), draw(st.integers(0, len(comp) - 1))
-    d = dhom.values
-    comp[i][j] = draw(st.sampled_from([c for c in range(len(comp)) if d[c] == d[comp[i][j]]]))
-    return MonoidContext(g, dhom.n, dhom, tuple(map(tuple, comp)))
 
 
 @st.composite
@@ -261,21 +249,6 @@ class TestClosure:
         assert every_pair == (not any(f.law == "multiplicativity" for f in laws))
 
 
-def old_sampled_failures(ctx) -> int:
-    """The sampling loop that ``check`` ran inline before ``monoid_axioms``."""
-    rng = random.Random(0)
-    ident = ctx.identity()
-    elems = list(ctx.elements_in_window(3 * ctx.group.order + 1))
-    failures = 0
-    for _ in range(10_000):
-        x, y, z = (rng.choice(elems) for _ in range(3))
-        if ctx.multiply(ctx.multiply(x, y), z) != ctx.multiply(x, ctx.multiply(y, z)):
-            failures += 1
-        if ctx.multiply(x, ident) != x or ctx.multiply(ident, x) != x:
-            failures += 1
-    return failures
-
-
 # C_3 with d = 1 and the composition x o y = y: associative, every product
 # valid, but the identity endomorphism is only a left identity
 RIGHT_ZERO = MonoidContext(
@@ -286,40 +259,66 @@ RIGHT_ZERO = MonoidContext(
 )
 
 
+def witness_fails(ctx, witness: str) -> bool:
+    """Whether the failure that ``witness`` names holds in ``ctx``'s table and d."""
+    comp, d, m, i = ctx._comp, ctx.dhom.values, ctx.group.order, ctx.identity_index
+    ints = [int(v) for v in re.findall(r"\d+", witness)]
+    if witness.startswith("(id, 1) is not an element: "):
+        return ints[1:] == [i, d[i], m] and d[i] != 1 % m
+    if witness.startswith("identity endo "):
+        x, c = ints[1:]
+        return ints[0] == i and comp[i][x] == c != x
+    if " o identity endo " in witness:
+        x, _, c = ints
+        return ints[1] == i and comp[x][i] == c != x
+    x, y, z, left, _, _, _, right = ints
+    return ints[4:7] == [x, y, z] and comp[comp[x][y]][z] == left != right == comp[x][comp[y][z]]
+
+
 class TestAxiomSuite:
     def test_sound_context_passes(self, monkeypatch):
-        def no_draw(*args):
-            pytest.fail("a triple was drawn or a window element built or multiplied")
+        def no_element(*args):
+            pytest.fail("a window element was built or multiplied")
 
         sound = [
             monoid_context(make_cyclic(6), 2),
             monoid_context(make_cyclic(12), 2),
             monoid_context(make_generalized_quaternion(8), 1, {i: 1 for i in range(28)}),
         ]
-        monkeypatch.setattr(monoid_odd.random, "Random", no_draw)
-        monkeypatch.setattr(MonoidContext, "elements_in_window", no_draw)
-        monkeypatch.setattr(MonoidContext, "multiply", no_draw)
+        monkeypatch.setattr(MonoidContext, "elements_in_window", no_element)
+        monkeypatch.setattr(MonoidContext, "multiply", no_element)
         for ctx in sound:
-            assert monoid_axioms(ctx) == 0
+            assert monoid_axioms(ctx) is None
 
-    def test_samples_the_same_triples_as_before(self):
-        # 0 o 0 -> 2 keeps every product valid (d(0) = d(2) = 0) but breaks
-        # associativity, so the count depends on exactly which triples are drawn
+    def test_a_corruption_that_keeps_d_is_reported(self):
+        # Q32 with d = 1 and 54 o 9 -> 22: every product stays valid, and the
+        # 10 000 sampled triples that decided this before met no failure
+        q32 = make_generalized_quaternion(32)
+        comp = [list(row) for row in stored_composition_table(q32)]
+        comp[54][9] = 22
+        dhom = build_degree_hom(q32, 1, {i: 1 for i in range(len(comp))})
+        ctx = MonoidContext(q32, 1, dhom, tuple(map(tuple, comp)))
+        witness = monoid_axioms(ctx)
+        assert witness is not None
+        assert witness_fails(ctx, witness)
+
+    def test_each_witness_kind_names_a_real_failure(self):
         g = make_cyclic(4)
+        dhom = build_degree_hom(g, 1)
         comp = [list(row) for row in composition_table(g)]
-        comp[0][0] = 2
-        ctx = MonoidContext(g, 1, build_degree_hom(g, 1), tuple(map(tuple, comp)))
-        assert monoid_axioms(ctx) == old_sampled_failures(ctx) > 0
-
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.one_of(contexts(), closed_contexts()))
-    @example(RIGHT_ZERO)
-    def test_same_result_as_the_sampling_loop(self, ctx):
-        try:
-            expected = old_sampled_failures(ctx)
-        except DomainMismatchError:  # the old loop met an invalid product
-            return
-        assert monoid_axioms(ctx) == expected
+        comp[0][0] = 2  # d(0) = d(2) = 0: products stay valid, associativity breaks
+        cases = {
+            "(id, 1) is not an element: d(identity endo 1) = 0 mod 4": MonoidContext(
+                g, 1, DegreeHom(g, 1, (0,) * 4, "user-supplied")
+            ),
+            "endo 0 o identity endo 1 = endo 1": RIGHT_ZERO,
+            "(endo 0 o endo 0) o endo 2 = endo 0 != endo 0 o (endo 0 o endo 2) = endo 2": (
+                MonoidContext(g, 1, dhom, tuple(map(tuple, comp)))
+            ),
+        }
+        for witness, ctx in cases.items():
+            assert monoid_axioms(ctx) == witness
+            assert witness_fails(ctx, witness)
 
 
 def every_triple_is_a_monoid(comp, ident) -> bool:
@@ -335,6 +334,10 @@ def every_triple_is_a_monoid(comp, ident) -> bool:
 
 @PROPERTY
 @given(contexts())
+@example(RIGHT_ZERO)
 def test_exact_decision_agrees_with_every_triple(ctx):
     comp, ident = ctx._comp, ctx.identity_index
-    assert is_monoid_table(comp, ident) == every_triple_is_a_monoid(comp, ident)
+    witness = monoid_axioms(ctx)
+    d_ident_is_one = ctx.dhom.values[ident] == 1 % ctx.group.order
+    assert (witness is None) == (d_ident_is_one and every_triple_is_a_monoid(comp, ident))
+    assert witness is None or witness_fails(ctx, witness)
