@@ -22,7 +22,9 @@ from .errors import (
     GroupSpecError,
     InputError,
     InvalidDimensionError,
+    InvalidOrderError,
     InvalidWindowError,
+    SizeCapError,
     UnsupportedGroupError,
     ValidationError,
 )
@@ -31,6 +33,7 @@ from .groups import (
     load_group,
     make_cyclic,
     make_generalized_quaternion,
+    max_order,
     rank_one_check,
 )
 from .identify import identify_group
@@ -220,14 +223,14 @@ def cmd_monoid(args) -> int:
 def cmd_equiv(args) -> int:
     ctx = _resolve_context(args)
     eg = ctx.equivalence_group()
-    name = identify_group(eg.order, eg.is_abelian(), eg.element_orders())
+    abelian, orders = eg.is_abelian(), eg.element_orders()
     report = {
         "command": "equiv",
         "group": ctx.group.name,
         "n": ctx.n,
         "order": eg.order,
-        "abelian": eg.is_abelian(),
-        "isomorphism_type": name,
+        "abelian": abelian,
+        "isomorphism_type": identify_group(eg.order, abelian, orders),
         "rows": [
             {
                 "index": i,
@@ -235,7 +238,7 @@ def cmd_equiv(args) -> int:
                 "degree": x.k,
                 "element_order": o,
             }
-            for i, (x, o) in enumerate(zip(eg.elements, eg.element_orders()))
+            for i, (x, o) in enumerate(zip(eg.elements, orders))
         ],
         "cayley_table": [list(row) for row in eg.table],
     }
@@ -358,7 +361,7 @@ def cmd_check(args) -> int:
     ok &= passed
 
     if group.cyclic_generator is not None:
-        cc = cross_check(group, args.n, args.window)
+        cc = cross_check(ctx, args.n, args.window)  # the d reported on above
         suites.append(
             {
                 "suite": "oracle-cross-check",
@@ -383,6 +386,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.n < 0:
+        raise InvalidDimensionError(f"n must be >= 0, got {args.n}")
+    if args.max_order < 1:
+        raise InvalidOrderError(f"max order must be >= 1, got {args.max_order}")
+    if args.max_order > max_order():  # named by the first order the loop would refuse
+        raise SizeCapError(f"order {max_order() + 1} exceeds cap {max_order()}")
     rows = []
     for m in range(1, args.max_order + 1):
         group = make_cyclic(m)

@@ -5,7 +5,10 @@ index 0.  Every constructor ends in :func:`_finish`, and every table
 passes through :func:`_check_table` there, the one validator: shape,
 Latin square, a two-sided identity (relabelled to index 0 when it sits
 elsewhere) and associativity.  So any :class:`FiniteGroup` in
-circulation is a genuine group.
+circulation is a genuine group.  G's table, End(G)'s composition table
+and the units E(G, n) share one routine per table property:
+:func:`is_commutative`, :func:`orders_in` (relative to a given identity),
+:func:`identity_row` and :func:`first_nonassociative`.
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
@@ -68,26 +71,11 @@ class FiniteGroup:
     name: str = ""
 
     def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[x][y] == t[y][x] for x in range(n) for y in range(x))
+        return is_commutative(self.table)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        """ord(x) for every x, one walk per cyclic subgroup not yet covered.
-
-        The walk of x passes x^k, whose order is ord(x) / gcd(k, ord(x)).
-        """
-        t = self.table
-        orders = [0] * self.order
-        for x in range(self.order):
-            if not orders[x]:
-                powers = [x]
-                while powers[-1]:
-                    powers.append(t[powers[-1]][x])
-                for k, y in enumerate(powers, 1):
-                    orders[y] = len(powers) // gcd(k, len(powers))
-        return tuple(orders)
+        return orders_in(self.table, 0)
 
     @cached_property
     def cyclic_generator(self) -> int | None:
@@ -98,6 +86,34 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
+
+
+def is_commutative(table: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether x*y = y*x for every pair of elements."""
+    return all(row[y] == table[y][x] for x, row in enumerate(table) for y in range(x))
+
+
+def orders_in(table: tuple[tuple[int, ...], ...], ident: int) -> tuple[int, ...]:
+    """ord(x) for every x of a group table with identity ``ident``.
+
+    One walk x, x^2, ... per cyclic subgroup not yet covered, since
+    ord(x^k) = ord(x) / gcd(k, ord(x)).
+    """
+    orders = [0] * len(table)
+    for x in range(len(table)):
+        if not orders[x]:
+            powers = [x]
+            while powers[-1] != ident:
+                powers.append(table[powers[-1]][x])
+            for k, y in enumerate(powers, 1):
+                orders[y] = len(powers) // gcd(k, len(powers))
+    return tuple(orders)
+
+
+def identity_row(table: tuple[tuple[int, ...], ...]) -> int | None:
+    """The first e whose row is 0, 1, ..., n-1 (a left identity), or None."""
+    row_of_identity = tuple(range(len(table)))
+    return next((e for e, row in enumerate(table) if row == row_of_identity), None)
 
 
 def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> list[int]:
@@ -145,25 +161,26 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
         if set(col) != elems:
             raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
     # in a Latin square at most one row is the identity row
-    identity_row = tuple(range(n))
-    ident = next((e for e, row in enumerate(table) if row == identity_row), None)
+    ident = identity_row(table)
     if ident is None or any(row[ident] != x for x, row in enumerate(table)):
         raise NotAGroupError("table has no two-sided identity")
-    # Light's test (module docstring) decides; only when it fails does the
-    # O(n^3) scan over every y run, to name the lexicographically first witness
-    if first_nonassociative(table, greedy_generators(table, ident)):
-        x, y, z = first_nonassociative(table, range(n))
+    # Light's test (module docstring) decides and names the triple it found
+    if triple := first_nonassociative(table, ident):
+        x, y, z = triple
         raise NotAGroupError(f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})")
     return ident
 
 
 def first_nonassociative(
-    table: tuple[tuple[int, ...], ...], ys
+    table: tuple[tuple[int, ...], ...], ident: int
 ) -> tuple[int, int, int] | None:
-    """The first (x, y, z), y in ``ys``, with (x*y)*z != x*(y*z), or None.
+    """A triple (x, y, z) with (x*y)*z != x*(y*z), or None if there is none.
 
-    Compares whole rows: row (x*y) against x applied to row y.
+    Light's test (module docstring), y in ``greedy_generators(table, ident)``
+    only; ``ident`` must already be a two-sided identity, or the generators
+    may never end.  Compares whole rows: row (x*y) against x applied to row y.
     """
+    ys = greedy_generators(table, ident)
     for x, tx in enumerate(table):
         for y in ys:
             txy = table[tx[y]]

@@ -74,11 +74,8 @@ def _dihedral_orders(k: int) -> list[int]:
 
 
 def _quaternion_orders(order: int) -> list[int]:
-    k = order // 4
-    n2 = 2 * k
-    rot = [n2 // gcd(n2, i) for i in range(n2)]
     # x^i y squares to x^k, whose order is 2, so all such elements have order 4
-    return rot + [4] * n2
+    return _cyclic_orders(order // 2) + [4] * (order // 2)
 
 
 _EXTRA_PROFILES: dict[str, tuple[int, bool, list[int]]] = {

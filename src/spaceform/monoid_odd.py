@@ -20,7 +20,7 @@ from .endomorphisms import (
     stored_composition_table,
 )
 from .errors import DomainMismatchError, NotRealizableError
-from .groups import FiniteGroup, first_nonassociative, greedy_generators
+from .groups import FiniteGroup, first_nonassociative, identity_row, is_commutative, orders_in
 
 
 class SpaceFormElement(NamedTuple):
@@ -47,26 +47,14 @@ class EquivalenceGroup:
         return len(self.elements)
 
     def identity_position(self) -> int:
-        return next(
-            i
-            for i in range(self.order)
-            if all(self.table[i][j] == j for j in range(self.order))
-        )
+        """Where (id, 1) sits; not first when |G| <= 2, after (id, -1)."""
+        return identity_row(self.table)
 
     def element_orders(self) -> tuple[int, ...]:
-        ident = self.identity_position()
-        orders = []
-        for i in range(self.order):
-            acc, t = i, 1
-            while acc != ident:
-                acc = self.table[acc][i]
-                t += 1
-            orders.append(t)
-        return tuple(orders)
+        return orders_in(self.table, self.identity_position())
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[i][j] == t[j][i] for i in range(self.order) for j in range(i))
+        return is_commutative(self.table)
 
 
 class MonoidContext:
@@ -91,14 +79,6 @@ class MonoidContext:
         self._order = group.order
         self._size = len(self.endos)
         self.identity_index = identity_endomorphism(group).canonical_index
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonoidContext)
-            and self.group == other.group
-            and self.n == other.n
-            and self.dhom == other.dhom
-        )
 
     def __repr__(self) -> str:
         return f"MonoidContext({self.group!r}, n={self.n})"
@@ -175,9 +155,7 @@ class MonoidContext:
 
     def is_abelian(self) -> bool:
         """M(G, n) is abelian iff End(G) commutes (degrees always commute)."""
-        c = self._comp
-        k = len(self.endos)
-        return all(c[i][j] == c[j][i] for i in range(k) for j in range(i))
+        return is_commutative(self._comp)
 
     def realizable_degrees(self) -> set[int]:
         """{ d(alpha) : alpha in End(G) } as least non-negative residues mod |G|."""
@@ -231,7 +209,7 @@ def monoid_axioms(ctx: MonoidContext) -> str | None:
             return f"identity endo {ident} o endo {x} = endo {left}"
         if row[ident] != x:
             return f"endo {x} o identity endo {ident} = endo {row[ident]}"
-    triple = first_nonassociative(comp, greedy_generators(comp, ident))
+    triple = first_nonassociative(comp, ident)
     if triple is None:
         return None
     x, y, z = triple

@@ -13,6 +13,7 @@ paths share no arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .degree import endo_residue
@@ -23,7 +24,7 @@ from .errors import (
     InvalidWindowError,
     UnsupportedGroupError,
 )
-from .monoid_odd import monoid_context
+from .monoid_odd import MonoidContext, monoid_context
 
 
 class SelfMapClass(NamedTuple):
@@ -112,17 +113,24 @@ class CrossCheckReport:
 def cross_check(group, n: int, window: int) -> CrossCheckReport:
     """Compare the monoid path with the oracle path on a cyclic context.
 
+    ``group`` is a cyclic group, checked with its built-in d, or a
+    ``MonoidContext`` for (G, n), checked with the d it was built with.
     Enumerates every valid element with |degree| <= window in both
     models, matches them under the endomorphism <-> residue bijection,
     and compares all pairwise products.  Stops at the first discrepancy.
     """
+    ctx = group if isinstance(group, MonoidContext) else None
+    group = ctx.group if ctx else group
+    if ctx and ctx.n != n:
+        raise DomainMismatchError(f"context is for n={ctx.n}, not n={n}")
     if group.cyclic_generator is None:
         raise UnsupportedGroupError("cross_check is defined for cyclic groups only")
     if window < 1:
         raise InvalidWindowError(f"window must be >= 1, got {window}")
 
-    ctx = monoid_context(group, n)
+    ctx = ctx or monoid_context(group, n)
     oracle = OracleContext(group.order, n)
+    report = partial(CrossCheckReport, m=group.order, n=n, window=window)
 
     # endomorphism canonical index <-> residue
     to_residue = tuple(endo_residue(e) for e in ctx.endos)
@@ -134,10 +142,7 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     oracle_side = {(f.pi1, f.degree) for f in oracle.classes_in_window(window)}
     if monoid_side != oracle_side:
         diff = (monoid_side - oracle_side) | (oracle_side - monoid_side)
-        return CrossCheckReport(
-            m=group.order,
-            n=n,
-            window=window,
+        return report(
             passed=False,
             element_count=len(monoid_side),
             product_count=0,
@@ -155,10 +160,7 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
             want = compose_selfmaps(oracle, f, g)
             products += 1
             if to_residue[got.alpha] != want.pi1 or got.k != want.degree:
-                return CrossCheckReport(
-                    m=group.order,
-                    n=n,
-                    window=window,
+                return report(
                     passed=False,
                     element_count=len(pairs),
                     product_count=products,
@@ -168,11 +170,4 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
                         f"oracle gave {tuple(want)}"
                     ),
                 )
-    return CrossCheckReport(
-        m=group.order,
-        n=n,
-        window=window,
-        passed=True,
-        element_count=len(pairs),
-        product_count=products,
-    )
+    return report(passed=True, element_count=len(pairs), product_count=products)

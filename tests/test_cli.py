@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spaceform
 from spaceform import monoid_odd
 from spaceform.cli import (
     EXIT_INPUT,
@@ -424,8 +429,50 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    def test_the_oracle_checks_the_supplied_d(self, capsys, tmp_path):
+        # d(r) = r is multiplicative with d(id) = 1 and unit values on Aut,
+        # so the other suites pass; the built-in d would be r^2 mod 8
+        path = tmp_path / "identity_d.json"
+        path.write_text(json.dumps({"n": 1, "values": {str(r): r for r in range(8)}}))
+        code, out, err = run(
+            capsys, "check", "--group", "cyclic:8", "--n", "1",
+            "--d-table", str(path), "--format", "json",
+        )
+        assert (code, err) == (EXIT_VALIDATION, "")
+        rows = json.loads(out)["rows"]
+        assert [row["passed"] for row in rows] == [True, True, True, False]
+        assert rows[3] == {
+            "detail": "valid-element sets differ, e.g. (2, -6)",
+            "passed": False,
+            "suite": "oracle-cross-check",
+        }
+
 
 class TestCensusCommand:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--max-order", "-5", "--n", "-3"], "n must be >= 0, got -3"),
+            (["--max-order", "-5", "--n", "1"], "max order must be >= 1, got -5"),
+            (["--max-order", "0", "--n", "1"], "max order must be >= 1, got 0"),
+            (["--max-order", "200", "--n", "1"], "order 129 exceeds cap 128"),
+            (["--max-order", "200", "--n", "-3"], "n must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_arguments_exit_1_before_any_work(self, capsys, monkeypatch, argv, message):
+        monkeypatch.delenv("SPACEFORM_MAX_ORDER", raising=False)
+        monkeypatch.setattr("spaceform.cli.make_cyclic", lambda m: pytest.fail("a group was built"))
+        code, out, err = run(capsys, "census", *argv, "--format", "json")
+        assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+    def test_the_order_cap_is_the_last_order_allowed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPACEFORM_MAX_ORDER", "4")
+        code, out, _ = run(capsys, "census", "--max-order", "4", "--n", "0", "--format", "json")
+        assert code == EXIT_OK
+        assert [row["m"] for row in json.loads(out)["rows"]] == [1, 2, 3, 4]
+        code, out, err = run(capsys, "census", "--max-order", "5", "--n", "0")
+        assert (code, out, err) == (EXIT_INPUT, "", "input error: order 5 exceeds cap 4\n")
+
     def test_row_contents(self, capsys):
         code, out, _ = run(
             capsys, "census", "--max-order", "8", "--n", "1", "--format", "json"
@@ -611,3 +658,29 @@ class TestInfrastructure:
         assert code == EXIT_INPUT
         assert out == ""
         assert "SPACEFORM_MAX_ORDER" in err
+
+
+class TestProcess:
+    """``python -m spaceform.cli`` in a child process, so that the exit status
+    is the one ``sys.exit(main())`` gives the shell."""
+
+    @staticmethod
+    def spaceform(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(spaceform.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "SPACEFORM_MAX_ORDER"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "spaceform.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_a_passing_check_exits_0_with_json_on_stdout(self):
+        proc = self.spaceform("check", "--group", "cyclic:5", "--n", "1", "--format", "json")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(proc.stdout)["passed"] is True
+
+    def test_a_refused_window_exits_1_with_stderr_only(self):
+        proc = self.spaceform("check", "--group", "cyclic:5", "--n", "1", "--window", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_INPUT, "", "input error: window must be >= 1, got 0\n"
+        )

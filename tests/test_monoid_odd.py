@@ -122,7 +122,37 @@ class TestInvertibility:
             assert ctx.is_invertible(x) == has_inverse
 
 
+def naive_unit_group_summary(eg) -> tuple[int, tuple[int, ...], bool]:
+    """Identity position, element orders and commutativity of E(G, n), naively:
+    the identity is the row fixing every column, and each order is a walk of
+    its element's powers; the walks the package used before the shared
+    ``groups`` routines."""
+    size = eg.order
+    ident = next(i for i in range(size) if all(eg.table[i][j] == j for j in range(size)))
+    orders = []
+    for i in range(size):
+        acc, t = i, 1
+        while acc != ident:
+            acc = eg.table[acc][i]
+            t += 1
+        orders.append(t)
+    abelian = all(eg.table[i][j] == eg.table[j][i] for i in range(size) for j in range(size))
+    return ident, tuple(orders), abelian
+
+
 class TestEquivalenceGroup:
+    @pytest.mark.parametrize("n", range(4))
+    def test_table_properties_match_the_naive_walk(self, n):
+        # m = 1, 2 put (id, -1) first and the identity (id, 1) at position 1
+        for m in range(1, 25):
+            ctx = monoid_context(make_cyclic(m), n)
+            eg = ctx.equivalence_group()
+            got = (eg.identity_position(), eg.element_orders(), eg.is_abelian())
+            assert got == naive_unit_group_summary(eg)
+            assert eg.elements[got[0]] == ctx.identity()
+            if m <= 2:
+                assert got[0] == 1
+
     def test_c2_special_case(self):
         for n in (0, 1, 5):
             eg = monoid_context(make_cyclic(2), n).equivalence_group()

@@ -7,6 +7,7 @@ from spaceform import (
     cross_check,
     make_cyclic,
     make_generalized_quaternion,
+    monoid_context,
 )
 from spaceform.errors import (
     DomainMismatchError,
@@ -111,6 +112,18 @@ class TestCrossCheck:
     def test_window_validation(self):
         with pytest.raises(InvalidWindowError):
             cross_check(make_cyclic(3), 1, 0)
+
+    def test_a_context_is_checked_with_its_own_d(self):
+        g = make_cyclic(8)
+        assert cross_check(monoid_context(g, 1), 1, 20) == cross_check(g, 1, 20)
+        # d(r) = r is a law-abiding d-table, but not the oracle's r^2 mod 8
+        report = cross_check(monoid_context(g, 1, {r: r for r in range(8)}), 1, 10)
+        assert not report.passed
+        assert report.witness == "valid-element sets differ, e.g. (2, -6)"
+
+    def test_a_context_for_another_n_is_refused(self):
+        with pytest.raises(DomainMismatchError, match="context is for n=1, not n=2"):
+            cross_check(monoid_context(make_cyclic(5), 1), 2, 10)
 
     def test_report_serializes(self):
         report = cross_check(make_cyclic(6), 1, 20)

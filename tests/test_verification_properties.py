@@ -1,7 +1,8 @@
 """Property tests for the exact checks that replaced brute-force scans.
 
 - ``groups._check_table`` decides associativity by Light's test over a
-  greedy generating set; the reference is the O(n^3) scan it replaced.
+  greedy generating set; the reference is the O(n^3) scan it replaced,
+  and the triple it names must really fail.
 - ``check`` decides closure of the window |k| <= 3|G| + 1 from the
   multiplicativity failures of ``validate_degree_hom``; the reference is
   the product of every pair of window elements.
@@ -138,11 +139,41 @@ def verdict(check, table):
         return ("not a group", str(exc))
 
 
+# a loop whose lexicographically first failing triple, (0*2)*0, is not the
+# one Light's test meets first, (0*4)*0: 2 is no greedy generator
+LOOP_6 = (
+    (2, 0, 3, 5, 1, 4),
+    (0, 1, 2, 3, 4, 5),
+    (3, 2, 5, 4, 0, 1),
+    (1, 3, 4, 2, 5, 0),
+    (5, 4, 0, 1, 2, 3),
+    (4, 5, 1, 0, 3, 2),
+)
+
+
+def named_triple_fails(table, message: str) -> bool:
+    """Whether the triple in "associativity fails at (x*y)*z ..." fails in ``table``."""
+    match = re.match(r"associativity fails at \((\d+)\*(\d+)\)\*(\d+) ", message)
+    x, y, z = map(int, match.groups())
+    return table[table[x][y]][z] != table[x][table[y][z]]
+
+
 class TestLightsTest:
     @PROPERTY
     @given(loops())
-    def test_same_verdict_and_message_as_the_full_scan(self, table):
-        assert verdict(_check_table, table) == verdict(brute_force_check_table, table)
+    @example(LOOP_6)
+    def test_same_verdict_as_the_full_scan_and_a_failing_triple(self, table):
+        got = verdict(_check_table, table)
+        assert got[0] == verdict(brute_force_check_table, table)[0]
+        assert got[0] == "group" or named_triple_fails(table, got[1])
+
+    def test_the_named_triple_is_lights_not_the_first(self):
+        assert verdict(brute_force_check_table, LOOP_6)[1].startswith(
+            "associativity fails at (0*2)*0"
+        )
+        assert verdict(_check_table, LOOP_6) == (
+            "not a group", "associativity fails at (0*4)*0 != 0*(4*0)"
+        )
 
     def test_the_loops_include_groups_and_non_groups(self):
         rng = random.Random(4)
