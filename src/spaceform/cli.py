@@ -307,82 +307,46 @@ def cmd_degrees(args) -> int:
 def cmd_check(args) -> int:
     group = parse_group_spec(args.group)
     _check_window(args.window)  # before any suite runs
-    suites: list[dict] = []
-    ok = True
-
     adm = rank_one_check(group)
-    suites.append(
-        {
-            "suite": "admissibility",
-            "passed": adm.passed,
-            "detail": f"counts {dict(adm.counts)}"
-            + (f"; failing primes {list(adm.failing_primes)}" if not adm.passed else ""),
-        }
-    )
-
+    failing = f"; failing primes {list(adm.failing_primes)}" if not adm.passed else ""
+    verdicts = [("admissibility", adm.passed, f"counts {dict(adm.counts)}{failing}")]
     try:
         ctx = monoid_context(group, args.n, _user_dtable(args))
     except (UnsupportedGroupError, ValidationError) as exc:
-        suites.append({"suite": "degree-hom", "passed": False, "detail": str(exc)})
-        report = {"command": "check", "passed": False, "rows": suites}
-        emit(report, args)
-        return EXIT_VALIDATION
-
-    # build_degree_hom refuses a user table that breaks any law, so only the
-    # built-in d is law-checked here
-    law_failures = (
-        () if ctx.dhom.provenance == "user-supplied"
-        else validate_degree_hom(ctx.dhom).failures
-    )
-    suites.append(
-        {
-            "suite": "degree-hom",
-            "passed": not law_failures,
-            "detail": "; ".join(f.message for f in law_failures) or "all laws hold",
-        }
-    )
-    ok &= not law_failures
-
-    axioms = monoid_axioms(ctx)
-    # the window |k| <= 3|G| + 1 holds an element over every endomorphism, so
-    # it is closed under the product exactly when d is multiplicative
-    closure_ok = not any(f.law == "multiplicativity" for f in law_failures)
-    passed = axioms is None and closure_ok
-    suites.append(
-        {
-            "suite": "monoid-axioms",
-            "passed": passed,
-            # no triple is sampled; the passing text is kept because
-            # perfbench/goldens.json pins the check reports by digest
-            "detail": f"{axioms or '0 axiom failures over 10000 sampled triples'}; "
-            f"closure {'holds' if closure_ok else 'fails'} in window",
-        }
-    )
-    ok &= passed
-
-    if group.cyclic_generator is not None:
-        cc = cross_check(ctx, args.n, args.window)  # the d reported on above
-        suites.append(
-            {
-                "suite": "oracle-cross-check",
-                "passed": cc.passed,
-                "detail": cc.witness
-                or f"{cc.element_count} elements, {cc.product_count} products agree",
-            }
-        )
-        ok &= cc.passed
+        verdicts.append(("degree-hom", False, str(exc)))  # the other suites need a d
     else:
-        suites.append(
-            {
-                "suite": "oracle-cross-check",
-                "passed": True,
-                "detail": "skipped: oracle is defined for cyclic groups only",
-            }
+        # build_degree_hom refuses a user table that breaks any law, so only the
+        # built-in d is law-checked here
+        law_failures = (
+            () if ctx.dhom.provenance == "user-supplied" else validate_degree_hom(ctx.dhom)
         )
+        detail = "; ".join(f.message for f in law_failures) or "all laws hold"
+        verdicts.append(("degree-hom", not law_failures, detail))
 
-    report = {"command": "check", "passed": bool(ok), "rows": suites}
-    emit(report, args)
-    return EXIT_OK if ok else EXIT_VALIDATION
+        axioms = monoid_axioms(ctx)
+        # the window |k| <= 3|G| + 1 holds an element over every endomorphism, so
+        # it is closed under the product exactly when d is multiplicative
+        closure_ok = not any(f.law == "multiplicativity" for f in law_failures)
+        # no triple is sampled; the passing text is kept because
+        # perfbench/goldens.json pins the check reports by digest
+        detail = (
+            f"{axioms or '0 axiom failures over 10000 sampled triples'}; "
+            f"closure {'holds' if closure_ok else 'fails'} in window"
+        )
+        verdicts.append(("monoid-axioms", axioms is None and closure_ok, detail))
+
+        if group.cyclic_generator is None:
+            detail = "skipped: oracle is defined for cyclic groups only"
+            verdicts.append(("oracle-cross-check", True, detail))
+        else:
+            cc = cross_check(ctx, args.n, args.window)  # the d reported on above
+            detail = f"{cc.element_count} elements, {cc.product_count} products agree"
+            verdicts.append(("oracle-cross-check", cc.passed, cc.witness or detail))
+
+    passed = all(ok for _, ok, _ in verdicts)
+    rows = [{"suite": suite, "passed": ok, "detail": text} for suite, ok, text in verdicts]
+    emit({"command": "check", "passed": passed, "rows": rows}, args)
+    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 def cmd_census(args) -> int:

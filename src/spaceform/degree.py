@@ -74,12 +74,6 @@ class LawFailure:
     message: str
 
 
-@dataclass(frozen=True)
-class HomValidationReport:
-    passed: bool
-    failures: tuple[LawFailure, ...]
-
-
 def _law_failures(g: FiniteGroup, d: tuple[int, ...]) -> list[LawFailure]:
     endos = enumerate_endomorphisms(g)
     m = g.order
@@ -160,10 +154,14 @@ def build_degree_hom(
     return DegreeHom(group=g, n=n, values=values, provenance="user-supplied")
 
 
-def validate_degree_hom(d: DegreeHom) -> HomValidationReport:
-    """Certify the homomorphism laws; failures carry explicit witnesses."""
-    failures = _law_failures(d.group, d.values)
-    return HomValidationReport(passed=not failures, failures=tuple(failures))
+def validate_degree_hom(d: DegreeHom) -> tuple[LawFailure, ...]:
+    """Every broken homomorphism law, each with its explicit witness.
+
+    Empty exactly when d is lawful.  The failures come in the order
+    identity, multiplicativity (row by row of the composition table),
+    unit.
+    """
+    return tuple(_law_failures(d.group, d.values))
 
 
 # --- d-table file format: {"n": n, "values": {"<endo_index>": residue}} ---

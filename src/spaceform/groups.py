@@ -289,8 +289,10 @@ class AdmissibilityReport:
     """Counts of solutions of x^p = e per prime p | |G|, with verdict.
 
     A group acting freely on a sphere has at most p solutions of
-    x^p = e for each prime p (all subgroups of order p^2 are cyclic).
-    Necessary, not sufficient: a pass is a diagnostic only.
+    x^p = e for each prime p (all subgroups of order p^2 are cyclic):
+    more means G contains Z/p x Z/p, which acts freely on no sphere
+    (P. A. Smith, 1944).  So a failure fails ``check``; the condition is
+    necessary, not sufficient, and a pass proves nothing.
     """
 
     counts: tuple[tuple[int, int], ...]  # (prime, count) pairs

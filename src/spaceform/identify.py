@@ -9,12 +9,9 @@ few profiles collide; unmatched or ambiguous profiles report as
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-
-from .groups import _prime_divisors
 
 Fingerprint = tuple[int, bool, tuple[int, ...]]
 
@@ -23,49 +20,22 @@ def _cyclic_orders(m: int) -> list[int]:
     return [m // gcd(m, i) for i in range(m)]
 
 
-def _product_orders(factors: list[int]) -> list[int]:
+def _product_orders(factors: tuple[int, ...]) -> list[int]:
     per = [_cyclic_orders(m) for m in factors]
     return [lcm(*combo) if combo else 1 for combo in product(*per)]
 
 
-def _partitions_into_prime_powers(n: int) -> list[list[int]]:
-    """All multisets of integers > 1, each a prime power, with product n."""
-    out: list[list[int]] = []
+def _invariant_factor_chains(m: int, least: int = 1):
+    """Every chain d1 | d2 | ... of integers > 1 with product m, d1 a multiple of least.
 
-    def rec(n: int, acc: list[int], minimum: int) -> None:
-        if n == 1:
-            out.append(list(acc))
-            return
-        for q in range(minimum, n + 1):
-            if n % q:
-                continue
-            ps = _prime_divisors(q)
-            if len(ps) != 1:
-                continue
-            acc.append(q)
-            rec(n // q, acc, q)
-            acc.pop()
-
-    rec(n, [], 2)
-    return out
-
-
-def _invariant_factors(prime_powers: list[int]) -> list[int]:
-    """Combine a prime-power multiset into invariant factors d1 | d2 | ..."""
-    by_prime: dict[int, list[int]] = defaultdict(list)
-    for q in prime_powers:
-        by_prime[_prime_divisors(q)[0]].append(q)
-    for powers in by_prime.values():
-        powers.sort(reverse=True)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for i in range(depth):
-        d = 1
-        for powers in by_prime.values():
-            if i < len(powers):
-                d *= powers[i]
-        factors.append(d)
-    return sorted(factors)
+    These name the abelian groups of order m, C_d1 x C_d2 x ..., once each.
+    """
+    if m == 1:
+        yield ()
+    for d in range(least, m + 1, least):
+        if d > 1 and m % d == 0:
+            for rest in _invariant_factor_chains(m // d, d):
+                yield (d, *rest)
 
 
 def _dihedral_orders(k: int) -> list[int]:
@@ -96,8 +66,8 @@ def _catalog() -> dict[Fingerprint, str]:
             table[fp] = name
 
     for m in range(1, 17):
-        for factors in _partitions_into_prime_powers(m):
-            name = " x ".join(f"C{d}" for d in _invariant_factors(factors)) or "C1"
+        for factors in _invariant_factor_chains(m):
+            name = " x ".join(f"C{d}" for d in factors) or "C1"
             add(name, m, True, _product_orders(factors))
     for k in range(3, 9):
         add(f"D{k}", 2 * k, False, _dihedral_orders(k))

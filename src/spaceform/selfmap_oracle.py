@@ -3,20 +3,20 @@
 A homotopy class of self-maps of a lens space is exactly a pair
 (action on pi_1, mapping degree); composition multiplies both.  This
 module recomputes everything for cyclic groups from scratch: residues
-0..m-1 stand in for End(C_m), the degree map is evaluated by naive
-repeated multiplication (no shared code with the fast path), and
-membership is decided by scanning the coset directly.  The cross-check
-against :mod:`spaceform.monoid_odd` is only meaningful because the two
-paths share no arithmetic.
+0..m-1 stand in for End(C_m), each endomorphism's residue is read off a
+discrete log built by repeated multiplication in G's table, the degree
+map is evaluated by naive repeated multiplication (no shared code with
+the fast path), and membership is decided by scanning the coset
+directly.  The cross-check against :mod:`spaceform.monoid_odd` is only
+meaningful because the two paths share no arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .degree import endo_residue
 from .errors import (
     DomainMismatchError,
     InvalidDimensionError,
@@ -99,15 +99,24 @@ class CrossCheckReport:
     witness: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "window": self.window,
-            "passed": self.passed,
-            "element_count": self.element_count,
-            "product_count": self.product_count,
-            "witness": self.witness,
-        }
+        return asdict(self)
+
+
+def _discrete_log(table) -> tuple[int, dict[int, int]]:
+    """A generator z of a cyclic group table and its log {z^r: r mod m}.
+
+    Both come from walking z, z^2, ... in the table for z = 0, 1, ...
+    until one walk covers the group; if none does, the group is refused.
+    """
+    m = len(table)
+    for z in range(m):
+        log, acc = {}, z
+        while acc not in log:
+            log[acc] = (len(log) + 1) % m
+            acc = table[acc][z]
+        if len(log) == m:
+            return z, log
+    raise UnsupportedGroupError("cross_check is defined for cyclic groups only")
 
 
 def cross_check(group, n: int, window: int) -> CrossCheckReport:
@@ -123,8 +132,7 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     group = ctx.group if ctx else group
     if ctx and ctx.n != n:
         raise DomainMismatchError(f"context is for n={ctx.n}, not n={n}")
-    if group.cyclic_generator is None:
-        raise UnsupportedGroupError("cross_check is defined for cyclic groups only")
+    z, log = _discrete_log(group.table)  # refuses a non-cyclic group
     if window < 1:
         raise InvalidWindowError(f"window must be >= 1, got {window}")
 
@@ -132,8 +140,8 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     oracle = OracleContext(group.order, n)
     report = partial(CrossCheckReport, m=group.order, n=n, window=window)
 
-    # endomorphism canonical index <-> residue
-    to_residue = tuple(endo_residue(e) for e in ctx.endos)
+    # endomorphism canonical index <-> residue r, where e(z) = z^r
+    to_residue = tuple(log[e.images[z]] for e in ctx.endos)
     to_index = {r: i for i, r in enumerate(to_residue)}
 
     monoid_side = {

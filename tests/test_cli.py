@@ -212,6 +212,35 @@ class TestCheckCommand:
         assert suites["degree-hom"]["passed"] is False
         assert "d-table" in suites["degree-hom"]["detail"]
 
+    @pytest.mark.parametrize("p, q", [(2, 2), (2, 4)], ids=["C2xC2", "C2xC4"])
+    def test_an_inadmissible_group_fails_check_alone(self, capsys, tmp_path, p, q):
+        # C_p x C_q contains Z/2 x Z/2, which acts freely on no sphere (Smith),
+        # so the failed admissibility row fails check; the all-ones d passes
+        # every other suite
+        table = [
+            [q * ((x // q + y // q) % p) + (x + y) % q for y in range(p * q)]
+            for x in range(p * q)
+        ]
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"order": p * q, "table": table}))
+        size = len(spaceform.enumerate_endomorphisms(spaceform.make_from_table(table)))
+        ones = tmp_path / "ones.json"
+        ones.write_text(json.dumps({"n": 1, "values": {str(i): 1 for i in range(size)}}))
+        code, out, err = run(
+            capsys, "check", "--group", f"table:{group}", "--n", "1",
+            "--d-table", str(ones), "--format", "json",
+        )
+        assert (code, err) == (EXIT_VALIDATION, "")
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert [(row["suite"], row["passed"]) for row in report["rows"]] == [
+            ("admissibility", False),
+            ("degree-hom", True),
+            ("monoid-axioms", True),
+            ("oracle-cross-check", True),
+        ]
+        assert report["rows"][0]["detail"].endswith("; failing primes [2]")
+
     def test_q8_with_invalid_table(self, capsys, tmp_path):
         # multiplicativity-violating table: derived from the frozen C_6-style
         # perturbation approach, here simply a non-constant assignment that

@@ -143,10 +143,10 @@ def test_law_failures_keep_their_order_and_messages(g, data):
     values = data.draw(st.lists(st.integers(0, g.order - 1), min_size=size, max_size=size))
     expected = naive_law_failures(g, values)
     report_values = tuple(values)
-    report = validate_degree_hom(
+    failures = validate_degree_hom(
         DegreeHom(group=g, n=1, values=report_values, provenance="user-supplied")
     )
-    assert [(f.law, f.witness, f.message) for f in report.failures] == expected
+    assert [(f.law, f.witness, f.message) for f in failures] == expected
     table = dict(enumerate(values))
     mult = [f for f in expected if f[0] == "multiplicativity"]
     if mult:
@@ -227,7 +227,7 @@ def test_one_group_computes_end_and_its_table_once(monkeypatch):
     tables = count_composition_tables(monkeypatch)
     searches = count_end_searches(monkeypatch)
     contexts = [monoid_context(g, 1), monoid_context(g, 2)]
-    assert validate_degree_hom(contexts[1].dhom).passed
+    assert not validate_degree_hom(contexts[1].dhom)
     assert cross_check(g, 2, 12).passed
     assert len(tables) == 1
     assert len(searches) == 1
@@ -246,7 +246,7 @@ def test_group_and_its_contexts_are_freed():
     g = make_generalized_quaternion(16)
     size = len(enumerate_endomorphisms(g))
     ctx = monoid_context(g, 1, {i: 1 for i in range(size)})
-    assert validate_degree_hom(ctx.dhom).passed
+    assert not validate_degree_hom(ctx.dhom)
     refs = [weakref.ref(g), weakref.ref(ctx), weakref.ref(ctx.endos[0])]
     del g, ctx
     gc.collect()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from spaceform import (
@@ -5,9 +7,12 @@ from spaceform import (
     SelfMapClass,
     compose_selfmaps,
     cross_check,
+    degree,
     make_cyclic,
+    make_from_table,
     make_generalized_quaternion,
     monoid_context,
+    selfmap_oracle,
 )
 from spaceform.errors import (
     DomainMismatchError,
@@ -131,3 +136,33 @@ class TestCrossCheck:
         assert data["passed"] is True
         assert data["m"] == 6
         assert data["witness"] is None
+        assert list(data) == [
+            "m", "n", "window", "passed", "element_count", "product_count", "witness",
+        ]
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 12, 30])
+    def test_a_relabelled_cyclic_table_passes(self, m):
+        # neither the identity nor a generator sits where make_cyclic puts it
+        label = list(range(m))
+        random.Random(m).shuffle(label)
+        table = [[0] * m for _ in range(m)]
+        for x in range(m):
+            for y in range(m):
+                table[label[x]][label[y]] = label[(x + y) % m]
+        report = cross_check(make_from_table(table), 1, 2 * m)
+        assert report.passed
+        assert report.element_count == cross_check(make_cyclic(m), 1, 2 * m).element_count
+
+    def test_the_oracle_does_not_read_residues_through_the_fast_path(self, monkeypatch):
+        # r -> r^5 is a multiplicative bijection of Z/7, so a fast path that
+        # reads residues through it still builds a lawful d; an oracle that
+        # shared endo_residue would agree with that d.  Every module that
+        # binds the name is patched, as a change to the function would be.
+        real = degree.endo_residue
+        for module in (degree, selfmap_oracle):
+            monkeypatch.setattr(
+                module, "endo_residue", lambda e: pow(real(e), 5, 7), raising=False
+            )
+        g = make_cyclic(7)
+        assert monoid_context(g, 1).dhom.values == (0, 1, 2, 4, 4, 2, 1)
+        assert not cross_check(g, 1, 30).passed
