@@ -15,7 +15,6 @@ from .endomorphisms import (
 )
 from .groups import (
     direct_product,
-    element_order,
     load_group,
     make_cyclic,
     make_from_table,
@@ -42,7 +41,6 @@ __all__ = [
     "compose_selfmaps",
     "cross_check",
     "direct_product",
-    "element_order",
     "enumerate_automorphisms",
     "enumerate_endomorphisms",
     "identity_endomorphism",

@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InputError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover

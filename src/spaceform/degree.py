@@ -167,22 +167,19 @@ def validate_degree_hom(d: DegreeHom) -> tuple[LawFailure, ...]:
 # --- d-table file format: {"n": n, "values": {"<endo_index>": residue}} ---
 
 
-def dtable_to_json(d: DegreeHom) -> dict:
-    return {
-        "n": d.n,
-        "values": {str(i): v for i, v in enumerate(d.values)},
-    }
-
-
 def dtable_from_json(data: dict) -> tuple[int | None, dict[int, int]]:
     if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
         raise DTableFormatError('a d-table must be an object {"n": n, "values": {...}}')
-    n = data.get("n")
+    n, raw = data.get("n"), data.get("values", {})
     try:
-        values = {int(k): as_int(v) for k, v in data.get("values", {}).items()}
-        return (None if n is None else as_int(n), values)
+        values = {int(k): as_int(v) for k, v in raw.items()}
+        n = None if n is None else as_int(n)
     except (TypeError, ValueError):
         raise DTableFormatError("d-table keys, values and n must be integers") from None
+    # int() also reads "04", " 4" and "1_0", which would merge with or fake an index
+    if key := next((k for k in raw if k != str(int(k))), None):
+        raise DTableFormatError(f"d-table key {key!r} is not an index in decimal")
+    return n, values
 
 
 def load_dtable(path: str | Path) -> tuple[int | None, dict[int, int]]:

@@ -40,11 +40,6 @@ class Endomorphism:
         return self.images[x]
 
 
-def generating_set(g: FiniteGroup) -> list[int]:
-    """Greedy generating set: repeatedly add the smallest element not yet generated."""
-    return greedy_generators(g.table)
-
-
 def _cayley_edges(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     """Edges (x, i, x*gens[i]) of the right Cayley graph, in BFS order from 0.
 
@@ -105,7 +100,7 @@ def _enumerate(g: FiniteGroup) -> _EndData:
         return g.__dict__["_end"]
     if g.order > max_order():
         raise SizeCapError(f"order {g.order} exceeds cap {max_order()}")
-    gens = generating_set(g)
+    gens = greedy_generators(g.table)
     orders = g.element_orders
     candidates = [
         [y for y in range(g.order) if orders[s] % orders[y] == 0] for s in gens
@@ -152,11 +147,6 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
 def identity_endomorphism(g: FiniteGroup) -> Endomorphism:
     data = _enumerate(g)
     return data.endos[data.index[data.gens]]
-
-
-def endomorphisms_to_json(endos: list[Endomorphism]) -> list[list[int]]:
-    """JSON-friendly form: a list of image arrays in canonical order."""
-    return [list(e.images) for e in endos]
 
 
 def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

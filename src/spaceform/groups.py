@@ -70,9 +70,6 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     name: str = ""
 
-    def is_abelian(self) -> bool:
-        return is_commutative(self.table)
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         return orders_in(self.table, 0)
@@ -277,22 +274,17 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return _finish(table, f"{a.name or 'A'}x{b.name or 'B'}")
 
 
-def element_order(g: FiniteGroup, x: int) -> int:
-    """Least t >= 1 with x^t = identity."""
-    if not 0 <= x < g.order:
-        raise StructureError(f"element index {x} out of range")
-    return g.element_orders[x]
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Counts of solutions of x^p = e per prime p | |G|, with verdict.
 
-    A group acting freely on a sphere has at most p solutions of
-    x^p = e for each prime p (all subgroups of order p^2 are cyclic):
-    more means G contains Z/p x Z/p, which acts freely on no sphere
-    (P. A. Smith, 1944).  So a failure fails ``check``; the condition is
-    necessary, not sufficient, and a pass proves nothing.
+    G has 1 + s(p - 1) solutions for s subgroups of order p, so a count
+    above p shows more than one subgroup of order p, not a Z/p x Z/p (S3
+    has 4 solutions of x^2 = e).  A failure fails ``check``: rightly at
+    p = 2, since two involutions generate a dihedral group, which acts
+    freely on no sphere, but not always at an odd p: SL(2, 3) acts freely
+    on S^3, yet has 9 solutions of x^3 = e.  ROADMAP item 7 has the exact
+    test.  A pass proves nothing.
     """
 
     counts: tuple[tuple[int, int], ...]  # (prime, count) pairs
@@ -324,15 +316,15 @@ def rank_one_check(g: FiniteGroup) -> AdmissibilityReport:
 # --- group-table file format: {"order": m, "table": [[...], ...]} ---
 
 
-def group_to_json(g: FiniteGroup) -> dict:
-    return {"order": g.order, "table": [list(row) for row in g.table]}
-
-
 def group_from_json(data: dict) -> FiniteGroup:
     if not isinstance(data, dict) or "table" not in data:
         raise StructureError("group file must be an object with a 'table' key")
     g = make_from_table(data["table"])
-    if "order" in data and (isinstance(data["order"], bool) or data["order"] != g.order):
+    try:
+        declared = as_int(data.get("order", g.order))
+    except TypeError:
+        declared = None
+    if declared != g.order:
         raise StructureError(
             f"declared order {data['order']} does not match table size {g.order}"
         )

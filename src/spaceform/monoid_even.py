@@ -59,7 +59,3 @@ def multiply_even(x: EvenElement, y: EvenElement) -> EvenElement:
 
 def identity_even() -> EvenElement:
     return EvenElement(TAG_ODD, 1)
-
-
-def is_unit(x: EvenElement) -> bool:
-    return x.tag == TAG_ODD and x.k in (1, -1)

@@ -60,18 +60,10 @@ class EquivalenceGroup:
 class MonoidContext:
     """Everything needed to do arithmetic in M(G, n)."""
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        n: int,
-        dhom: DegreeHom,
-        comp: tuple[tuple[int, ...], ...] | None = None,
-    ):
+    def __init__(self, dhom: DegreeHom, comp: tuple[tuple[int, ...], ...] | None = None):
         """``comp`` replaces the stored composition table (tests corrupt it)."""
-        if dhom.group != group or dhom.n != n:
-            raise DomainMismatchError("degree homomorphism does not match (G, n)")
-        self.group = group
-        self.n = n
+        self.group = group = dhom.group
+        self.n = dhom.n
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
         self._comp = stored_composition_table(group) if comp is None else comp
@@ -123,13 +115,6 @@ class MonoidContext:
             )
         return _new_element(SpaceFormElement, (self._comp[xa][ya], xk * yk))
 
-    def is_invertible(self, x: SpaceFormElement) -> bool:
-        if not self.is_valid(x):
-            raise DomainMismatchError(
-                "operand is not a valid element of this monoid context"
-            )
-        return self.endos[x.alpha].is_automorphism and x.k in (1, -1)
-
     # -- global structure --
 
     def equivalence_group(self) -> EquivalenceGroup:
@@ -161,9 +146,6 @@ class MonoidContext:
         """{ d(alpha) : alpha in End(G) } as least non-negative residues mod |G|."""
         return set(self._d)
 
-    def is_realizable(self, k: int) -> bool:
-        return k % self.group.order in set(self._d)
-
     def endos_realizing(self, k: int) -> list[int]:
         m = self.group.order
         return [i for i, v in enumerate(self._d) if v == k % m]
@@ -186,7 +168,7 @@ def monoid_context(
     A user d-table is law-checked against the composition table that the
     context multiplies with: the one stored with End(G) on ``group``.
     """
-    return MonoidContext(group, n, build_degree_hom(group, n, user_table))
+    return MonoidContext(build_degree_hom(group, n, user_table))
 
 
 def monoid_axioms(ctx: MonoidContext) -> str | None:

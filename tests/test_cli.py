@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,25 @@ class TestCheckCommand:
             ("oracle-cross-check", True),
         ]
         assert report["rows"][0]["detail"].endswith("; failing primes [2]")
+
+    def test_s3_fails_admissibility(self, capsys, tmp_path):
+        # S3 is a non-cyclic group of order 2p, which acts freely on no
+        # sphere (Milnor), so the verdict stays right under an exact test;
+        # the detail text is left free
+        perms = sorted(permutations(range(3)))
+        table = [[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms]
+        group = tmp_path / "s3.json"
+        group.write_text(json.dumps({"order": 6, "table": table}))
+        size = len(spaceform.enumerate_endomorphisms(spaceform.make_from_table(table)))
+        ones = tmp_path / "ones.json"
+        ones.write_text(json.dumps({"n": 1, "values": {str(i): 1 for i in range(size)}}))
+        code, out, _ = run(
+            capsys, "check", "--group", f"table:{group}", "--n", "1",
+            "--d-table", str(ones), "--format", "json",
+        )
+        assert code == EXIT_VALIDATION
+        row = json.loads(out)["rows"][0]
+        assert (row["suite"], row["passed"]) == ("admissibility", False)
 
     def test_q8_with_invalid_table(self, capsys, tmp_path):
         # multiplicativity-violating table: derived from the frozen C_6-style
@@ -645,6 +665,7 @@ class TestInfrastructure:
             {"order": [2], "table": [[0, 1], [1, 0]]},
             [[0, 1], [1, 0]],
             {"table": [[0, True], [True, 0]]},
+            {"order": 2.0, "table": [[0, 1], [1, 0]]},
         ],
     )
     @pytest.mark.parametrize("sub", ["monoid", "check"])
@@ -667,6 +688,7 @@ class TestInfrastructure:
             {"n": 1.0, "values": {str(i): 1 for i in range(28)}},
             {"n": 1, "values": {"0": True}},
             {"n": True, "values": {str(i): 1 for i in range(28)}},
+            {"n": 1, "values": {**{str(i): 1 for i in range(28)}, " 4": 3}},
         ],
     )
     @pytest.mark.parametrize("sub", ["monoid", "check"])

@@ -210,15 +210,15 @@ def test_builtin_context_computes_composition_table_once(monkeypatch):
 
 
 def count_end_searches(monkeypatch) -> list:
-    """Log each End(G) search: every search starts from ``generating_set``."""
-    real = endomorphisms.generating_set
+    """Log each End(G) search: every search starts from ``greedy_generators``."""
+    real = endomorphisms.greedy_generators
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return real(g)
+    def counting(table):
+        calls.append(table)
+        return real(table)
 
-    monkeypatch.setattr(endomorphisms, "generating_set", counting)
+    monkeypatch.setattr(endomorphisms, "greedy_generators", counting)
     return calls
 
 

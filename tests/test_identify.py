@@ -1,11 +1,11 @@
 import pytest
 
-from spaceform import element_order, make_cyclic, make_generalized_quaternion
+from spaceform import make_cyclic, make_generalized_quaternion
 from spaceform.identify import _catalog, _product_orders, identify_group
 
 
 def profile(g):
-    return tuple(element_order(g, x) for x in range(g.order))
+    return g.element_orders
 
 
 def prime_of(q: int) -> int | None:

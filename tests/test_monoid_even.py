@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from spaceform import A0, A2, canonicalize, identity_even, multiply_even, odd
 from spaceform.errors import NotOddError
-from spaceform.monoid_even import is_unit
 
 
 class TestCanonicalize:
@@ -52,9 +51,10 @@ class TestMultiply:
             assert multiply_even(x, e) == x
 
     def test_units_are_plus_minus_one(self):
-        assert is_unit(odd(1)) and is_unit(odd(-1))
-        assert not is_unit(odd(3))
-        assert not is_unit(A0) and not is_unit(A2)
+        classes = [A0, A2, *map(odd, range(-9, 10, 2))]
+        one = identity_even()
+        units = [x for x in classes if any(multiply_even(x, y) == one for y in classes)]
+        assert units == [odd(-1), odd(1)]
 
 
 class TestQuotientStructure:

@@ -1,12 +1,16 @@
-"""Source checks that need no linter: unused imports and the 3.10 grammar.
+"""Source checks that need no linter: unused imports and names, the 3.10 grammar.
 
 A name a ``spaceform`` module imports must be used in that module or
 listed in its ``__all__``; an import marked ``# noqa: F401`` is exempt.
-Every ``.py`` file of the project must parse as Python 3.10, the oldest
+A public function, method or class of ``spaceform`` must have a caller in
+the package or the benchmark, or be named as API in the README.  Every
+``.py`` file of the project must parse as Python 3.10, the oldest
 version ``pyproject.toml`` allows.
 """
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spaceform"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+CALLERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module, lines: list[str]):
@@ -75,6 +80,40 @@ def test_an_unused_import_is_caught():
         "print(g(4, 6), os.sep)\n"
     )
     assert unused_imports(source) == (["defaultdict"], ["product"])
+
+
+def public_definitions(path: Path):
+    """(name, its lines) for each public top-level def or class and method."""
+    for node in ast.parse(path.read_text()).body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in (node, *members):
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+                first = min(n.lineno for n in (d, *d.decorator_list))
+                yield d.name, range(first, d.end_lineno + 1)
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    """A use is the name as a word on a line outside every definition of it,
+    in ``spaceform`` or a ``perfbench`` script; the README names API in
+    backticks.  A test alone is no caller."""
+    definitions = defaultdict(set)  # name -> {(path, line)} of its definitions
+    for path in MODULES:
+        for name, lines in public_definitions(path):
+            definitions[name].update((path, i) for i in lines)
+    documented = " ".join(re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text()))
+    lines = [
+        (path, i, line)
+        for path in CALLERS
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+    ]
+    unused = []
+    for name, own in sorted(definitions.items()):
+        word = re.compile(rf"\b{name}\b")
+        if not word.search(documented) and not any(
+            (path, i) not in own and word.search(line) for path, i, line in lines
+        ):
+            unused.append(name)
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
