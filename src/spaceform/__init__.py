@@ -22,8 +22,8 @@ from .groups import (
     rank_one_check,
 )
 from .monoid_even import A0, A2, canonicalize, identity_even, multiply_even, odd
-from .monoid_odd import MonoidContext, SpaceFormElement, monoid_context
-from .selfmap_oracle import OracleContext, SelfMapClass, compose_selfmaps, cross_check
+from .monoid_odd import MonoidContext, monoid_context
+from .selfmap_oracle import OracleContext, compose_selfmaps, cross_check
 
 __version__ = "0.1.0"
 
@@ -33,8 +33,6 @@ __all__ = [
     "DegreeHom",
     "MonoidContext",
     "OracleContext",
-    "SelfMapClass",
-    "SpaceFormElement",
     "build_degree_hom",
     "canonicalize",
     "compose",

@@ -171,8 +171,8 @@ def cmd_monoid(args) -> int:
     ctx = _resolve_context(args)
     m = ctx.group.order
     samples: dict[int, list[int]] = defaultdict(list)
-    for x in ctx.elements_in_window(args.window):
-        samples[x.alpha].append(x.k)
+    for alpha, k in ctx.elements_in_window(args.window):
+        samples[alpha].append(k)
     rows = []
     for e in ctx.endos:
         d = ctx.dhom(e.canonical_index)
@@ -234,11 +234,11 @@ def cmd_equiv(args) -> int:
         "rows": [
             {
                 "index": i,
-                "alpha": x.alpha,
-                "degree": x.k,
+                "alpha": alpha,
+                "degree": k,
                 "element_order": o,
             }
-            for i, (x, o) in enumerate(zip(eg.elements, orders))
+            for i, ((alpha, k), o) in enumerate(zip(eg.elements, orders))
         ],
         "cayley_table": [list(row) for row in eg.table],
     }

@@ -1,16 +1,16 @@
 """The self-map monoid of an odd-dimensional spherical space form.
 
-An element is a pair (alpha, k): an endomorphism of the fundamental
-group together with an exact integer mapping degree, subject to
-k = d(alpha) mod |G|.  Products multiply degrees and compose the
-endomorphisms.  Degrees are never reduced mod |G|: distinct integers
-are distinct homotopy classes and the monoid is infinite.
+An element is a plain tuple (alpha, k) of ints: the canonical index of
+an endomorphism of the fundamental group and an exact integer mapping
+degree, subject to k = d(alpha) mod |G|.  Products multiply degrees and
+compose the endomorphisms.  Degrees are never reduced mod |G|: distinct
+integers are distinct homotopy classes and the monoid is infinite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .degree import DegreeHom, build_degree_hom
 from .endomorphisms import (
@@ -23,23 +23,11 @@ from .errors import DomainMismatchError, NotRealizableError
 from .groups import FiniteGroup, first_nonassociative, identity_row, is_commutative, orders_in
 
 
-class SpaceFormElement(NamedTuple):
-    """(endomorphism canonical index, exact mapping degree)."""
-
-    alpha: int
-    k: int
-
-
-# What SpaceFormElement(alpha, k) calls, without the Python-level __new__
-# frame; multiply builds its result this way on the hot path.
-_new_element = tuple.__new__
-
-
 @dataclass(frozen=True)
 class EquivalenceGroup:
     """The group of invertible elements, with its Cayley table."""
 
-    elements: tuple[SpaceFormElement, ...]
+    elements: tuple[tuple[int, int], ...]
     table: tuple[tuple[int, ...], ...]  # indices into `elements`
 
     @property
@@ -77,7 +65,7 @@ class MonoidContext:
 
     # -- element construction and arithmetic --
 
-    def element(self, alpha: int, k: int) -> SpaceFormElement:
+    def element(self, alpha: int, k: int) -> tuple[int, int]:
         """Accept (alpha, k) iff k = d(alpha) mod |G|."""
         if not 0 <= alpha < len(self.endos):
             raise DomainMismatchError(f"endomorphism index {alpha} out of range")
@@ -87,33 +75,30 @@ class MonoidContext:
                 f"degree {k} = {k % m} mod {m} but d(endo {alpha}) = {self._d[alpha]}; "
                 "no self-map has this (pi_1, degree) pair"
             )
-        return SpaceFormElement(alpha, k)
+        return alpha, k
 
-    def is_valid(self, x: SpaceFormElement) -> bool:
-        return (
-            0 <= x.alpha < len(self.endos)
-            and x.k % self.group.order == self._d[x.alpha]
-        )
+    def is_valid(self, x) -> bool:
+        """False for anything but a pair (alpha, k) of this context."""
+        try:
+            alpha, k = x
+            return 0 <= alpha < self._size and k % self._order == self._d[alpha]
+        except (TypeError, ValueError):  # not a pair, or not of ints
+            return False
 
-    def identity(self) -> SpaceFormElement:
-        return SpaceFormElement(self.identity_index, 1)
+    def identity(self) -> tuple[int, int]:
+        return self.identity_index, 1
 
-    def multiply(self, x: SpaceFormElement, y: SpaceFormElement) -> SpaceFormElement:
-        # hot path: validity checks inlined
-        xa, xk = x
-        ya, yk = y
-        m = self._order
-        d = self._d
-        if (
-            not 0 <= xa < self._size
-            or not 0 <= ya < self._size
-            or xk % m != d[xa]
-            or yk % m != d[ya]
-        ):
-            raise DomainMismatchError(
-                "operand is not a valid element of this monoid context"
-            )
-        return _new_element(SpaceFormElement, (self._comp[xa][ya], xk * yk))
+    def multiply(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        # hot path: validity checks inlined; the try costs nothing until it raises
+        m, d, size = self._order, self._d, self._size
+        try:
+            xa, xk = x
+            ya, yk = y
+            if 0 <= xa < size and 0 <= ya < size and xk % m == d[xa] and yk % m == d[ya]:
+                return self._comp[xa][ya], xk * yk
+        except (TypeError, ValueError):  # not a pair, or not of ints
+            pass
+        raise DomainMismatchError("operand is not a valid element of this monoid context")
 
     # -- global structure --
 
@@ -125,7 +110,7 @@ class MonoidContext:
         the |G| >= 3 case where at most one sign survives per alpha.
         """
         elems = [
-            SpaceFormElement(e.canonical_index, k)
+            (e.canonical_index, k)
             for e in self.endos
             if e.is_automorphism
             for k in (1, -1)
@@ -150,13 +135,13 @@ class MonoidContext:
         m = self.group.order
         return [i for i, v in enumerate(self._d) if v == k % m]
 
-    def elements_in_window(self, window: int) -> Iterator[SpaceFormElement]:
+    def elements_in_window(self, window: int) -> Iterator[tuple[int, int]]:
         """All valid elements with |degree| <= window."""
         m = self.group.order
         for i, v in enumerate(self._d):
             k = -window + (v - (-window)) % m  # smallest degree >= -window in coset
             while k <= window:
-                yield SpaceFormElement(i, k)
+                yield i, k
                 k += m
 
 

@@ -1,13 +1,13 @@
 """Second, independent model of self-map classes for cross-validation.
 
 A homotopy class of self-maps of a lens space is exactly a pair
-(action on pi_1, mapping degree); composition multiplies both.  This
-module recomputes everything for cyclic groups from scratch: residues
-0..m-1 stand in for End(C_m), each endomorphism's residue is read off a
-discrete log built by repeated multiplication in G's table, the degree
-map is evaluated by naive repeated multiplication (no shared code with
-the fast path), and membership is decided by scanning the coset
-directly.  The cross-check against :mod:`spaceform.monoid_odd` is only
+(action on pi_1, mapping degree), here a plain tuple (pi1, degree) of
+ints; composition multiplies both.  This module recomputes everything
+for cyclic groups from scratch: residues 0..m-1 stand in for End(C_m),
+each endomorphism's residue is read off a discrete log built by
+repeated multiplication in G's table, the degree map is evaluated by
+naive repeated multiplication (no shared code with the fast path), and
+membership is decided by scanning the coset directly.  The cross-check against :mod:`spaceform.monoid_odd` is only
 meaningful because the two paths share no arithmetic.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import NamedTuple
 
 from .errors import (
     DomainMismatchError,
@@ -25,13 +24,6 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .monoid_odd import MonoidContext, monoid_context
-
-
-class SelfMapClass(NamedTuple):
-    """(induced residue on pi_1, exact mapping degree)."""
-
-    pi1: int
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -67,25 +59,25 @@ class OracleContext:
             rep += self.m
         return out
 
-    def is_valid(self, f: SelfMapClass) -> bool:
+    def is_valid(self, f: tuple[int, int]) -> bool:
         """Membership by direct coset scan around the queried degree."""
-        if not 0 <= f.pi1 < self.m:
+        pi1, degree = f
+        if not 0 <= pi1 < self.m:
             return False
-        return f.degree in self.coset_in_window(f.pi1, abs(f.degree) + self.m)
+        return degree in self.coset_in_window(pi1, abs(degree) + self.m)
 
-    def classes_in_window(self, window: int) -> list[SelfMapClass]:
-        return [
-            SelfMapClass(r, k)
-            for r in range(self.m)
-            for k in self.coset_in_window(r, window)
-        ]
+    def classes_in_window(self, window: int) -> list[tuple[int, int]]:
+        return [(r, k) for r in range(self.m) for k in self.coset_in_window(r, window)]
 
 
-def compose_selfmaps(ctx: OracleContext, f: SelfMapClass, g: SelfMapClass) -> SelfMapClass:
+def compose_selfmaps(
+    ctx: OracleContext, f: tuple[int, int], g: tuple[int, int]
+) -> tuple[int, int]:
     m = ctx.m
-    if not (0 <= f.pi1 < m and 0 <= g.pi1 < m):
+    (fr, fk), (gr, gk) = f, g
+    if not (0 <= fr < m and 0 <= gr < m):
         raise DomainMismatchError("pi_1 residue out of range for this context")
-    return SelfMapClass(f.pi1 * g.pi1 % m, f.degree * g.degree)
+    return fr * gr % m, fk * gk
 
 
 @dataclass(frozen=True)
@@ -144,10 +136,8 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     to_residue = tuple(log[e.images[z]] for e in ctx.endos)
     to_index = {r: i for i, r in enumerate(to_residue)}
 
-    monoid_side = {
-        (to_residue[x.alpha], x.k) for x in ctx.elements_in_window(window)
-    }
-    oracle_side = {(f.pi1, f.degree) for f in oracle.classes_in_window(window)}
+    monoid_side = {(to_residue[a], k) for a, k in ctx.elements_in_window(window)}
+    oracle_side = set(oracle.classes_in_window(window))
     if monoid_side != oracle_side:
         diff = (monoid_side - oracle_side) | (oracle_side - monoid_side)
         return report(
@@ -159,23 +149,21 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
 
     pairs = sorted(monoid_side)
     monoid_elems = [ctx.element(to_index[r], k) for r, k in pairs]
-    oracle_elems = [SelfMapClass(r, k) for r, k in pairs]
     multiply = ctx.multiply
     products = 0
-    for x, f in zip(monoid_elems, oracle_elems):
-        for y, g in zip(monoid_elems, oracle_elems):
-            got = multiply(x, y)
+    for x, f in zip(monoid_elems, pairs):
+        for y, g in zip(monoid_elems, pairs):
+            alpha, k = multiply(x, y)
             want = compose_selfmaps(oracle, f, g)
             products += 1
-            if to_residue[got.alpha] != want.pi1 or got.k != want.degree:
+            if (to_residue[alpha], k) != want:
                 return report(
                     passed=False,
                     element_count=len(pairs),
                     product_count=products,
                     witness=(
-                        f"product mismatch at {tuple(f)}*{tuple(g)}: "
-                        f"monoid gave {(to_residue[got.alpha], got.k)}, "
-                        f"oracle gave {tuple(want)}"
+                        f"product mismatch at {f}*{g}: "
+                        f"monoid gave {(to_residue[alpha], k)}, oracle gave {want}"
                     ),
                 )
     return report(passed=True, element_count=len(pairs), product_count=products)

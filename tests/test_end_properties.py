@@ -135,6 +135,28 @@ def test_compose_and_identity_agree_with_full_images(g, data):
 
 
 @PROPERTY
+@given(groups(24), st.integers(0, 3), st.data())
+def test_multiply_agrees_with_full_image_composition(g, n, data):
+    size = len(enumerate_endomorphisms(g))
+    # the built-in d where there is one, else the all-ones table, lawful on every G
+    table = None if g.cyclic_generator is not None else dict.fromkeys(range(size), 1)
+    ctx = monoid_context(g, n, table)
+    images = [e.images for e in ctx.endos]
+    lookup = {a: i for i, a in enumerate(images)}
+    element = st.builds(
+        lambda a, t: (a, ctx.dhom.values[a] + g.order * t),
+        st.integers(0, size - 1),
+        st.integers(-50, 50),
+    )
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=20))
+    for (xa, xk), (ya, yk) in pairs:
+        result = ctx.multiply((xa, xk), (ya, yk))
+        assert type(result) is tuple
+        assert result == (lookup[tuple(images[xa][v] for v in images[ya])], xk * yk)
+        assert ctx.is_valid(result)
+
+
+@PROPERTY
 @given(st.sampled_from([make_cyclic(6), make_generalized_quaternion(8),
                         direct_product(make_cyclic(2), make_cyclic(2))]),
        st.data())

@@ -30,7 +30,7 @@ def test_library_example_prints_what_its_comments_say():
     expected = [
         line.split("#")[1].strip() for line in block.splitlines() if line.startswith("print(")
     ]
-    assert expected == ["SpaceFormElement(alpha=1, k=126)", "4"]
+    assert expected == ["(1, 126)", "4"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from spaceform import (
+    MonoidContext,
     OracleContext,
-    SelfMapClass,
     compose_selfmaps,
     cross_check,
     degree,
+    endomorphisms,
     make_cyclic,
     make_from_table,
     make_generalized_quaternion,
@@ -38,10 +39,10 @@ class TestOracleContext:
 
     def test_validity(self):
         ctx = OracleContext(m=5, n=1)
-        assert ctx.is_valid(SelfMapClass(2, 9))
-        assert ctx.is_valid(SelfMapClass(2, -6))
-        assert not ctx.is_valid(SelfMapClass(2, 5))
-        assert not ctx.is_valid(SelfMapClass(7, 1))
+        assert ctx.is_valid((2, 9))
+        assert ctx.is_valid((2, -6))
+        assert not ctx.is_valid((2, 5))
+        assert not ctx.is_valid((7, 1))
 
     def test_coset_in_window(self):
         ctx = OracleContext(m=5, n=1)
@@ -49,7 +50,7 @@ class TestOracleContext:
 
     def test_classes_in_window_trivial_group(self):
         ctx = OracleContext(m=1, n=0)
-        degrees = [f.degree for f in ctx.classes_in_window(10)]
+        degrees = [k for _, k in ctx.classes_in_window(10)]
         assert degrees == list(range(-10, 11))
 
     def test_bad_parameters(self):
@@ -62,23 +63,23 @@ class TestOracleContext:
 class TestCompose:
     def test_identity_neutral(self):
         ctx = OracleContext(m=5, n=1)
-        ident = SelfMapClass(1, 1)
-        x = SelfMapClass(2, 9)
+        ident = (1, 1)
+        x = (2, 9)
         assert compose_selfmaps(ctx, ident, x) == x
         assert compose_selfmaps(ctx, x, ident) == x
 
     def test_squaring_example(self):
         ctx = OracleContext(m=5, n=1)
-        assert compose_selfmaps(ctx, SelfMapClass(2, 4), SelfMapClass(2, 4)) == SelfMapClass(4, 16)
+        assert compose_selfmaps(ctx, (2, 4), (2, 4)) == (4, 16)
 
     def test_c2_example(self):
         ctx = OracleContext(m=2, n=1)
-        assert compose_selfmaps(ctx, SelfMapClass(1, 3), SelfMapClass(0, 2)) == SelfMapClass(0, 6)
+        assert compose_selfmaps(ctx, (1, 3), (0, 2)) == (0, 6)
 
     def test_out_of_range_residue(self):
         ctx = OracleContext(m=2, n=1)
         with pytest.raises(DomainMismatchError):
-            compose_selfmaps(ctx, SelfMapClass(2, 3), SelfMapClass(0, 2))
+            compose_selfmaps(ctx, (2, 3), (0, 2))
 
     @pytest.mark.parametrize("m,n", [(3, 1), (6, 2), (10, 3)])
     def test_closure(self, m, n):
@@ -125,6 +126,22 @@ class TestCrossCheck:
         report = cross_check(monoid_context(g, 1, {r: r for r in range(8)}), 1, 10)
         assert not report.passed
         assert report.witness == "valid-element sets differ, e.g. (2, -6)"
+
+    def test_a_wrong_product_is_reported_at_the_first_mismatch(self):
+        g = make_cyclic(6)
+        comp = [list(row) for row in endomorphisms.stored_composition_table(g)]
+        comp[2][3] = (comp[2][3] + 1) % 6
+        report = cross_check(MonoidContext(monoid_context(g, 1).dhom, comp), 1, 12)
+        assert report.to_json() == {
+            "m": 6,
+            "n": 1,
+            "window": 12,
+            "passed": False,
+            "element_count": 25,
+            "product_count": 239,
+            "witness": "product mismatch at (2, -8)*(3, -9): "
+            "monoid gave (1, 72), oracle gave (0, 72)",
+        }
 
     def test_a_context_for_another_n_is_refused(self):
         with pytest.raises(DomainMismatchError, match="context is for n=1, not n=2"):
