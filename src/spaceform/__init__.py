@@ -21,7 +21,7 @@ from .groups import (
     make_generalized_quaternion,
     rank_one_check,
 )
-from .monoid_even import A0, A2, canonicalize, identity_even, multiply_even, odd
+from .monoid_even import A0, A2, canonicalize, class_label, identity_even, multiply_even, odd
 from .monoid_odd import MonoidContext, monoid_context
 from .selfmap_oracle import OracleContext, compose_selfmaps, cross_check
 
@@ -35,6 +35,7 @@ __all__ = [
     "OracleContext",
     "build_degree_hom",
     "canonicalize",
+    "class_label",
     "compose",
     "compose_selfmaps",
     "cross_check",

@@ -37,7 +37,7 @@ from .groups import (
     rank_one_check,
 )
 from .identify import identify_group
-from .monoid_even import A0, A2, identity_even, multiply_even, odd
+from .monoid_even import A0, A2, class_label, identity_even, multiply_even, odd
 from .monoid_odd import MonoidContext, monoid_axioms, monoid_context
 from .selfmap_oracle import cross_check
 
@@ -255,10 +255,10 @@ def cmd_even(args) -> int:
     for x in (A0, A2):
         rows.append(
             {
-                "x": str(x),
-                "a0": str(multiply_even(x, A0)),
-                "a2": str(multiply_even(x, A2)),
-                "b[2l+1]": str(x),  # absorbs odd classes
+                "x": class_label(x),
+                "a0": class_label(multiply_even(x, A0)),
+                "a2": class_label(multiply_even(x, A2)),
+                "b[2l+1]": class_label(x),  # absorbs odd classes
             }
         )
     rows.append(
@@ -274,7 +274,7 @@ def cmd_even(args) -> int:
         "n": args.n,
         "note": "monoid of self-maps of RP^(2n); structure independent of n",
         "classes": ["a0 (degrees = 0 mod 4)", "a2 (degrees = 2 mod 4)", "b[k] for each odd k"],
-        "units": [str(identity_even()), str(odd(-1))],
+        "units": [class_label(identity_even()), class_label(odd(-1))],
         "rows": rows,
     }
     emit(report, args)

@@ -3,59 +3,44 @@
 The monoid is Z under multiplication, quotiented so that all integers
 = 0 mod 4 collapse to one class and all integers = 2 mod 4 to another,
 while each odd integer stays its own class.  The structure is the same
-for every even dimension 2n with n >= 1.
+for every even dimension 2n with n >= 1.  A class is a plain int: k
+for the odd class b[k], 0 for a0 and 2 for a2.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import NotOddError
+from .groups import as_int
 
-TAG_A0 = "a0"
-TAG_A2 = "a2"
-TAG_ODD = "odd"
-
-
-class EvenElement(NamedTuple):
-    """Tagged union: the classes a0, a2, or an odd integer class."""
-
-    tag: str
-    k: int  # odd payload; 0 for the two even classes
-
-    def __str__(self) -> str:
-        if self.tag == TAG_ODD:
-            return f"b[{self.k}]"
-        return self.tag
+A0 = 0
+A2 = 2
 
 
-A0 = EvenElement(TAG_A0, 0)
-A2 = EvenElement(TAG_A2, 0)
+def odd(k: int) -> int:
+    """The class b[k]; NotOddError unless k is an odd int (a float or bool is not)."""
+    try:
+        value = as_int(k)
+    except TypeError:
+        value = 0  # refused below, as an even k is
+    if not value & 1:
+        raise NotOddError(f"odd class requires an odd integer, got {k!r}")
+    return value
 
 
-def odd(k: int) -> EvenElement:
-    if k % 2 == 0:
-        raise NotOddError(f"odd class requires an odd integer, got {k}")
-    return EvenElement(TAG_ODD, k)
-
-
-def canonicalize(k: int) -> EvenElement:
+def canonicalize(k: int) -> int:
     """Class of the integer k: odd keeps its value, evens collapse mod 4."""
-    if k & 1:
-        return EvenElement(TAG_ODD, k)
-    return A0 if k % 4 == 0 else A2
+    return k if k & 1 else k % 4
 
 
-def multiply_even(x: EvenElement, y: EvenElement) -> EvenElement:
-    """a_i * a_j = a0; a_i * b = b * a_i = a_i; b * b' multiplies payloads."""
-    if x.tag == TAG_ODD:
-        if y.tag == TAG_ODD:
-            return EvenElement(TAG_ODD, x.k * y.k)
-        return y
-    if y.tag == TAG_ODD:
-        return x
-    return A0
+def multiply_even(x: int, y: int) -> int:
+    """Exact on any representatives: 2 * odd = 2 and 2 * 2 = 0 mod 4."""
+    return canonicalize(x * y)
 
 
-def identity_even() -> EvenElement:
-    return EvenElement(TAG_ODD, 1)
+def identity_even() -> int:
+    return 1
+
+
+def class_label(x: int) -> str:
+    """The name of the class of x: b[x] for odd x, else a0 or a2."""
+    return f"b[{x}]" if x & 1 else f"a{x % 4}"

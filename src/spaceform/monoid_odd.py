@@ -20,7 +20,9 @@ from .endomorphisms import (
     stored_composition_table,
 )
 from .errors import DomainMismatchError, NotRealizableError
-from .groups import FiniteGroup, first_nonassociative, identity_row, is_commutative, orders_in
+from .groups import (
+    FiniteGroup, as_int, first_nonassociative, identity_row, is_commutative, orders_in
+)
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,14 @@ class MonoidContext:
     # -- element construction and arithmetic --
 
     def element(self, alpha: int, k: int) -> tuple[int, int]:
-        """Accept (alpha, k) iff k = d(alpha) mod |G|."""
-        if not 0 <= alpha < len(self.endos):
+        """Accept ints (alpha, k) iff alpha indexes End(G) and k = d(alpha) mod |G|."""
+        try:
+            alpha, k = as_int(alpha), as_int(k)
+        except TypeError:
+            raise DomainMismatchError(f"not a pair of ints: ({alpha!r}, {k!r})") from None
+        if not 0 <= alpha < self._size:
             raise DomainMismatchError(f"endomorphism index {alpha} out of range")
-        m = self.group.order
+        m = self._order
         if k % m != self._d[alpha]:
             raise NotRealizableError(
                 f"degree {k} = {k % m} mod {m} but d(endo {alpha}) = {self._d[alpha]}; "

@@ -60,11 +60,14 @@ class OracleContext:
         return out
 
     def is_valid(self, f: tuple[int, int]) -> bool:
-        """Membership by direct coset scan around the queried degree."""
-        pi1, degree = f
-        if not 0 <= pi1 < self.m:
+        """Membership by direct coset scan; False for anything but a pair of ints."""
+        try:
+            pi1, degree = f
+            if not 0 <= pi1 < self.m:
+                return False
+            return degree in self.coset_in_window(pi1, abs(degree) + self.m)
+        except (TypeError, ValueError):  # not a pair, or not of ints
             return False
-        return degree in self.coset_in_window(pi1, abs(degree) + self.m)
 
     def classes_in_window(self, window: int) -> list[tuple[int, int]]:
         return [(r, k) for r in range(self.m) for k in self.coset_in_window(r, window)]

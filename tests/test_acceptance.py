@@ -102,13 +102,13 @@ def test_criterion_3_even_monoid_matches_integer_quotient():
         odds = [odd(k) for k in range(-199, 200, 2)]
         for x in (A0, A2):
             for y in (A0, A2):
-                assert multiply_even(x, y) is A0
+                assert multiply_even(x, y) == A0
             for b in odds:
-                assert multiply_even(x, b) is x
-                assert multiply_even(b, x) is x
+                assert multiply_even(x, b) == x
+                assert multiply_even(b, x) == x
         for b1 in odds:
             for b2 in odds:
-                assert multiply_even(b1, b2) == odd(b1.k * b2.k)
+                assert multiply_even(b1, b2) == odd(b1 * b2)
 
 
 def test_criterion_4_oracle_equivalence():

@@ -132,7 +132,26 @@ class TestEquivCommand:
         assert report["isomorphism_type"] == "C6"
 
 
+EVEN_REPORT = {
+    "classes": ["a0 (degrees = 0 mod 4)", "a2 (degrees = 2 mod 4)", "b[k] for each odd k"],
+    "command": "even",
+    "n": 1,
+    "note": "monoid of self-maps of RP^(2n); structure independent of n",
+    "rows": [
+        {"a0": "a0", "a2": "a0", "b[2l+1]": "a0", "x": "a0"},
+        {"a0": "a0", "a2": "a0", "b[2l+1]": "a2", "x": "a2"},
+        {"a0": "a0", "a2": "a2", "b[2l+1]": "b[(2l+1)(2l'+1)]", "x": "b[2l+1]"},
+    ],
+    "units": ["b[1]", "b[-1]"],
+}
+
+
 class TestEvenCommand:
+    def test_whole_report(self, capsys):
+        code, out, _ = run(capsys, "even", "--n", "1", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == EVEN_REPORT
+
     def test_class_table(self, capsys):
         code, out, _ = run(capsys, "even", "--n", "3", "--format", "json")
         assert code == EXIT_OK

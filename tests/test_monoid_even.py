@@ -4,20 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spaceform import A0, A2, canonicalize, identity_even, multiply_even, odd
+from spaceform import A0, A2, canonicalize, class_label, identity_even, multiply_even, odd
 from spaceform.errors import NotOddError
 
 
 class TestCanonicalize:
     def test_multiples_of_four_collapse(self):
-        assert canonicalize(8) is A0
-        assert canonicalize(0) is A0
-        assert canonicalize(-12) is A0
+        assert canonicalize(8) == A0
+        assert canonicalize(0) == A0
+        assert canonicalize(-12) == A0
 
     def test_twos_mod_four_collapse(self):
-        assert canonicalize(6) is A2
-        assert canonicalize(2) is A2
-        assert canonicalize(-2) is A2
+        assert canonicalize(6) == A2
+        assert canonicalize(2) == A2
+        assert canonicalize(-2) == A2
 
     def test_odd_keeps_value(self):
         assert canonicalize(7) == odd(7)
@@ -28,17 +28,27 @@ class TestCanonicalize:
         with pytest.raises(NotOddError):
             odd(4)
 
+    @pytest.mark.parametrize("k", [3.0, True, "3", None])
+    def test_odd_rejects_non_int(self, k):
+        with pytest.raises(NotOddError):
+            odd(k)
+
+    def test_classes_are_plain_ints(self):
+        assert (A0, A2, identity_even(), odd(-7)) == (0, 2, 1, -7)
+        for x in (A0, A2, odd(3), canonicalize(-10), multiply_even(odd(3), A2)):
+            assert type(x) is int
+
 
 class TestMultiply:
     def test_even_times_even_is_a0(self):
         for x, y in product((A0, A2), repeat=2):
-            assert multiply_even(x, y) is A0
+            assert multiply_even(x, y) == A0
 
     def test_even_absorbs_odd(self):
         for x in (A0, A2):
             for k in (-5, -1, 1, 3, 9):
-                assert multiply_even(x, odd(k)) is x
-                assert multiply_even(odd(k), x) is x
+                assert multiply_even(x, odd(k)) == x
+                assert multiply_even(odd(k), x) == x
 
     def test_odd_times_odd(self):
         assert multiply_even(odd(3), odd(5)) == odd(15)
@@ -61,14 +71,10 @@ class TestQuotientStructure:
     def test_well_defined_on_classes(self):
         # canonicalize(x*y) must depend only on the classes of x and y
         reps = range(-200, 201)
-        seen: dict[tuple, object] = {}
+        seen: dict[tuple[int, int], int] = {}
         for x in reps:
-            cx = canonicalize(x)
-            key_x = cx if cx.tag != "odd" else ("odd", cx.k)
             for y in reps:
-                cy = canonicalize(y)
-                key_y = cy if cy.tag != "odd" else ("odd", cy.k)
-                key = (key_x, key_y)
+                key = (canonicalize(x), canonicalize(y))
                 result = canonicalize(x * y)
                 if key in seen:
                     assert seen[key] == result
@@ -93,3 +99,10 @@ class TestQuotientStructure:
     @given(st.integers(), st.integers())
     def test_canonicalize_is_a_homomorphism(self, a, b):
         assert multiply_even(canonicalize(a), canonicalize(b)) == canonicalize(a * b)
+
+
+@pytest.mark.parametrize(
+    "x, label", [(0, "a0"), (2, "a2"), (1, "b[1]"), (-1, "b[-1]"), (15, "b[15]")]
+)
+def test_class_label(x, label):
+    assert class_label(x) == label

@@ -37,6 +37,15 @@ class TestElementConstruction:
         with pytest.raises(DomainMismatchError):
             c5n1.element(7, 1)
 
+    @pytest.mark.parametrize(
+        "alpha, k",
+        [(1.0, 6), ("1", 6), (True, 6), (1, 6.0), (1, "6")],
+        ids=["float-alpha", "str-alpha", "bool-alpha", "float-k", "str-k"],
+    )
+    def test_non_int_pair_rejected(self, c5n1, alpha, k):
+        with pytest.raises(DomainMismatchError):
+            c5n1.element(alpha, k)
+
     def test_huge_degrees_are_exact(self, c5n1):
         k = 4 + 5 * 10**40
         x = c5n1.element(2, k)

@@ -44,6 +44,10 @@ class TestOracleContext:
         assert not ctx.is_valid((2, 5))
         assert not ctx.is_valid((7, 1))
 
+    @pytest.mark.parametrize("f", [(1, 2, 3), None, (1, "x")], ids=["triple", "none", "str"])
+    def test_validity_of_a_non_pair_is_false(self, f):
+        assert OracleContext(m=5, n=1).is_valid(f) is False
+
     def test_coset_in_window(self):
         ctx = OracleContext(m=5, n=1)
         assert ctx.coset_in_window(2, 10) == [-6, -1, 4, 9]
