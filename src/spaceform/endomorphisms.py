@@ -10,7 +10,11 @@ Those |G|*|S| edge checks imply the homomorphism law on all of G x G
 (Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 2-3).
 
 The same fact keys composition: a o b is found by its images on S,
-a(b(s)), so each entry of the composition table costs O(|S|).
+a(b(s)).  The composition table composes that way only the rows of the
+greedy monoid generators T of End(G); every other row is a gather,
+row(x o t)[j] = row(x)[row(t)[j]], along End(G)'s right Cayley graph
+from the identity.  That is |T| |End| |S| lookups plus one gather of
+|End| entries per row, instead of |End|^2 |S| lookups.
 
 End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
 :func:`_enumerate`), with its composition table, computed once.  Two group
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 from .errors import DomainMismatchError, SizeCapError
 from .groups import FiniteGroup, greedy_generators, max_order
@@ -150,18 +155,50 @@ def identity_endomorphism(g: FiniteGroup) -> Endomorphism:
 
 
 def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Index-level composition: entry [i][j] is the index of endo_i o endo_j."""
+    """Index-level composition: entry [i][j] is the index of endo_i o endo_j.
+
+    Only the rows of End(G)'s greedy monoid generators are composed image
+    by image; every other row is a gather along the right Cayley graph of
+    End(G), walked as :func:`greedy_generators` walks a table.
+    """
     data = _enumerate(g)
     endos, gens, index = data.endos, data.gens, data.index
-    if not gens:  # trivial group
+    size = len(endos)
+    if size == 1:  # trivial group; itemgetter of one index gives no tuple
         return ((0,),)
-    by_point = list(zip(*(a.images for a in endos)))  # by_point[v][i] = endo_i(v)
-    # column j: the key of endo_i o endo_j is (endo_i(endo_j(s)) for s in gens)
-    columns = [
-        map(index.__getitem__, zip(*(by_point[b.images[s]] for s in gens)))
-        for b in endos
-    ]
-    return tuple(zip(*columns))
+    # at_gens[k][j] = endo_j(gens[k]), so a o endo_j has key (a(at_gens[k][j]) for k)
+    at_gens = [tuple(b.images[s] for b in endos) for s in gens]
+    rows: list[tuple[int, ...] | None] = [None] * size
+    ident = index[gens]
+    rows[ident] = tuple(range(size))
+    seen = [ident]
+    steps: list[tuple[int, itemgetter]] = []
+    nxt = 0
+    while len(seen) < size:
+        while rows[nxt] is not None:
+            nxt += 1
+        image = endos[nxt].images.__getitem__
+        rows[nxt] = row = tuple(
+            map(index.__getitem__, zip(*(map(image, col) for col in at_gens)))
+        )
+        # row(x o s)[j] = row(x)[row(s)[j]], as (x o s) o b = x o (s o b)
+        step = itemgetter(*row)
+        steps.append((nxt, step))
+        fresh = [nxt]
+        for x in seen:  # closed under the earlier generators already
+            y = rows[x][nxt]
+            if rows[y] is None:
+                rows[y] = step(rows[x])
+                fresh.append(y)
+        for x in fresh:  # the list grows while it is walked
+            rx = rows[x]
+            for s, step in steps:
+                y = rx[s]
+                if rows[y] is None:
+                    rows[y] = step(rx)
+                    fresh.append(y)
+        seen += fresh
+    return tuple(rows)
 
 
 def stored_composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

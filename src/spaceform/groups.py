@@ -121,6 +121,10 @@ def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> lis
     the generators generate.  Any square table will do, provided ``ident``
     is a left identity: then each new generator a = ident*a is reached at
     once.  Otherwise the walk may never end.
+
+    Each element is walked once with each generator: what was reached
+    before a generator was added is closed under the earlier ones, so it
+    needs only the new one, O(n |S|) steps in all.
     """
     n = len(table)
     reached = [False] * n
@@ -132,13 +136,20 @@ def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> lis
         while reached[nxt]:
             nxt += 1
         gens.append(nxt)
-        for x in seen:  # the list grows while it is walked
+        fresh = []
+        for x in seen:
+            y = table[x][nxt]
+            if not reached[y]:
+                reached[y] = True
+                fresh.append(y)
+        for x in fresh:  # the list grows while it is walked
             row = table[x]
             for s in gens:
                 y = row[s]
                 if not reached[y]:
                     reached[y] = True
-                    seen.append(y)
+                    fresh.append(y)
+        seen += fresh
     return gens
 
 

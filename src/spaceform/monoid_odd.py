@@ -84,9 +84,9 @@ class MonoidContext:
         return alpha, k
 
     def is_valid(self, x) -> bool:
-        """False for anything but a pair (alpha, k) of this context."""
+        """False for anything but a pair (alpha, k) of ints of this context."""
         try:
-            alpha, k = x
+            alpha, k = map(as_int, x)
             return 0 <= alpha < self._size and k % self._order == self._d[alpha]
         except (TypeError, ValueError):  # not a pair, or not of ints
             return False

@@ -23,6 +23,7 @@ from .errors import (
     InvalidWindowError,
     UnsupportedGroupError,
 )
+from .groups import as_int
 from .monoid_odd import MonoidContext, monoid_context
 
 
@@ -60,9 +61,9 @@ class OracleContext:
         return out
 
     def is_valid(self, f: tuple[int, int]) -> bool:
-        """Membership by direct coset scan; False for anything but a pair of ints."""
+        """Membership by direct coset scan; False but for a pair of ints (no float, bool)."""
         try:
-            pi1, degree = f
+            pi1, degree = map(as_int, f)
             if not 0 <= pi1 < self.m:
                 return False
             return degree in self.coset_in_window(pi1, abs(degree) + self.m)

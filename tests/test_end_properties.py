@@ -33,7 +33,9 @@ from spaceform import (
 from spaceform import endomorphisms
 from spaceform.degree import DegreeHom
 from spaceform.errors import InvalidTableError, NotAHomomorphismError
+from spaceform.groups import greedy_generators
 from tests.conftest import brute_force_endomorphisms
+from tests.test_degree import independent_law_check
 
 PROPERTY = settings(
     max_examples=40,
@@ -75,15 +77,20 @@ def naive_composition_table(g, images: list[tuple[int, ...]]):
     """Compose full image arrays and look the result up by its whole array."""
     lookup = {a: i for i, a in enumerate(images)}
     return tuple(
-        tuple(lookup[tuple(a[b[x]] for x in range(g.order))] for b in images)
-        for a in images
+        tuple(lookup[tuple(map(a.__getitem__, b))] for b in images) for a in images
     )
 
 
-def naive_law_failures(g, values: list[int]) -> list[tuple[str, tuple[int, ...], str]]:
-    """The identity, multiplicativity and unit failures in the order d reports them."""
+def naive_law_failures(
+    g, values: list[int], images: list[tuple[int, ...]] | None = None
+) -> list[tuple[str, tuple[int, ...], str]]:
+    """The identity, multiplicativity and unit failures in the order d reports them.
+
+    A full row-major scan of every pair; End(G) is found by backtracking
+    unless its sorted image arrays are given.
+    """
     m = g.order
-    images = sorted(brute_force_endomorphisms(g))
+    images = sorted(brute_force_endomorphisms(g)) if images is None else images
     comp = naive_composition_table(g, images)
     out = []
     ident = images.index(tuple(range(m)))
@@ -182,6 +189,129 @@ def test_law_failures_keep_their_order_and_messages(g, data):
         assert str(exc.value) == "; ".join(f[2] for f in expected)
     else:
         assert build_degree_hom(g, 1, table).values == report_values
+
+
+def lawful_dtables(g) -> list[list[int]]:
+    """d-tables that satisfy every law on any G.
+
+    All ones; 1 on Aut(G) and 0 elsewhere (a o b is bijective exactly when
+    a and b are); and on a cyclic group the built-in d for n = 0..3.
+    """
+    endos = enumerate_endomorphisms(g)
+    m = g.order
+    tables = [[1 % m] * len(endos), [int(e.is_automorphism) % m for e in endos]]
+    if g.cyclic_generator is not None:
+        tables += [list(build_degree_hom(g, n).values) for n in range(4)]
+    return tables
+
+
+@PROPERTY
+@given(groups(12), st.data())
+def test_law_decision_agrees_with_independent_check(g, data):
+    images = [e.images for e in enumerate_endomorphisms(g)]
+    values = list(data.draw(st.sampled_from(lawful_dtables(g))))
+    if g.order > 1 and data.draw(st.booleans()):  # corrupt one entry
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = data.draw(
+            st.integers(0, g.order - 1).filter(lambda v: v != values[i])
+        )
+    table = dict(enumerate(values))
+    try:
+        build_degree_hom(g, 1, table)
+        accepted = True
+    except (NotAHomomorphismError, InvalidTableError):
+        accepted = False
+    assert accepted == independent_law_check(g, table)
+    failures = validate_degree_hom(
+        DegreeHom(group=g, n=1, values=tuple(values), provenance="user-supplied")
+    )
+    assert [(f.law, f.witness, f.message) for f in failures] == naive_law_failures(
+        g, values, images
+    )
+    assert accepted == (not failures)
+
+
+@pytest.mark.parametrize(
+    "index, value, witness, count, last",
+    [
+        (3, 5, (0, 3), 387, ("multiplicativity", (131, 130))),
+        (73, 16, (0, 73), 388, ("unit", (73,))),
+    ],
+    ids=["seed-1", "seed-2"],
+)
+def test_corrupted_q32_keeps_its_witness(index, value, witness, count, last):
+    """The benchmark's corrupted Q32 d-tables (build workload, seeds 1 and 2)."""
+    g = make_generalized_quaternion(32)
+    values = [1] * len(enumerate_endomorphisms(g))
+    values[index] = value
+    with pytest.raises(NotAHomomorphismError) as exc:
+        monoid_context(g, 1, dict(enumerate(values)))
+    assert exc.value.witness == witness
+    assert str(exc.value) == (
+        f"d(endo 0 o endo {index}) = 1 != d(0)*d({index}) = {value} mod 32"
+    )
+    failures = validate_degree_hom(
+        DegreeHom(group=g, n=1, values=tuple(values), provenance="user-supplied")
+    )
+    assert len(failures) == count
+    assert (failures[-1].law, failures[-1].witness) == last
+
+
+def naive_greedy_generators(table, ident: int) -> list[int]:
+    """The smallest element outside the closure of {ident} under o s, for s chosen
+    so far, recomputing that closure from scratch after every choice."""
+    gens: list[int] = []
+    while True:
+        reached, todo = {ident}, [ident]
+        while todo:
+            row = table[todo.pop()]
+            for s in gens:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    todo.append(row[s])
+        if len(reached) == len(table):
+            return gens
+        gens.append(min(set(range(len(table))) - reached))
+
+
+@PROPERTY
+@given(groups(24), st.data())
+def test_greedy_generators_equal_naive_closure(g, data):
+    assert greedy_generators(g.table) == naive_greedy_generators(g.table, 0)
+    # the same group with its identity moved off index 0
+    perm = data.draw(st.permutations(range(g.order)))
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    assert greedy_generators(table, perm[0]) == naive_greedy_generators(table, perm[0])
+    comp = endomorphisms.composition_table(g)
+    ident = endomorphisms.identity_endomorphism(g).canonical_index
+    assert greedy_generators(comp, ident) == naive_greedy_generators(comp, ident)
+
+
+C2 = make_cyclic(2)
+HARD_SHAPES = [
+    (make_cyclic(1), 0),
+    (C2, 1),
+    (direct_product(direct_product(C2, C2), C2), 56),
+    (direct_product(make_cyclic(4), make_cyclic(8)), 33),
+    (make_generalized_quaternion(64), 6),
+]
+
+
+@pytest.mark.parametrize("g, end_gens", HARD_SHAPES, ids=[repr(g) for g, _ in HARD_SHAPES])
+def test_composition_table_on_hard_shapes(monkeypatch, g, end_gens):
+    """One-element End, a single generator, 56 generators, |End| = 512 and 516."""
+    images = [e.images for e in enumerate_endomorphisms(g)]
+    searches = count_end_searches(monkeypatch)
+    comp = endomorphisms.composition_table(g)
+    assert searches == []  # the closure walk is no End(G) search
+    assert comp == naive_composition_table(g, images)
+    ident = images.index(tuple(range(g.order)))
+    gens = greedy_generators(comp, ident)
+    assert len(gens) == end_gens
+    assert gens == naive_greedy_generators(comp, ident)
 
 
 def count_composition_tables(monkeypatch) -> list:

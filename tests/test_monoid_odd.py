@@ -71,6 +71,12 @@ class TestMultiply:
         y = ctx.element(1, 5)
         assert ctx.multiply(x, y) == (1, 15)
 
+    @pytest.mark.parametrize("bad", [(1, 6.0), (1.0, 6), (True, 6), (1, "6")],
+                             ids=["float-degree", "float-index", "bool-index", "str-degree"])
+    def test_non_int_entry_is_not_valid(self, c5n1, bad):
+        assert c5n1.is_valid((1, 6))
+        assert c5n1.is_valid(bad) is False
+
     def test_invalid_operand_rejected(self, c5n1):
         ident = c5n1.identity()
         last = (-1, c5n1.dhom.values[-1])  # a negative index must not wrap round

@@ -48,6 +48,14 @@ class TestOracleContext:
     def test_validity_of_a_non_pair_is_false(self, f):
         assert OracleContext(m=5, n=1).is_valid(f) is False
 
+    @pytest.mark.parametrize("f", [(1.0, 1), (True, 1), (1, 6.0), (1, True)],
+                             ids=["float-residue", "bool-residue", "float-degree",
+                                  "bool-degree"])
+    def test_validity_of_a_non_int_entry_is_false(self, f):
+        ctx = OracleContext(m=5, n=1)
+        assert ctx.is_valid((1, 1)) and ctx.is_valid((1, 6))
+        assert ctx.is_valid(f) is False
+
     def test_coset_in_window(self):
         ctx = OracleContext(m=5, n=1)
         assert ctx.coset_in_window(2, 10) == [-6, -1, 4, 9]
