@@ -9,7 +9,7 @@ for the odd class b[k], 0 for a0 and 2 for a2.
 
 from __future__ import annotations
 
-from .errors import NotOddError
+from .errors import DomainMismatchError, NotOddError
 from .groups import as_int
 
 A0 = 0
@@ -29,7 +29,10 @@ def odd(k: int) -> int:
 
 def canonicalize(k: int) -> int:
     """Class of the integer k: odd keeps its value, evens collapse mod 4."""
-    return k if k & 1 else k % 4
+    try:  # costs nothing until it raises
+        return k if k & 1 else k % 4
+    except TypeError:  # a float, str or None has no & 1
+        raise DomainMismatchError(f"a class of M(RP^2n) is an int, got {k!r}") from None
 
 
 def multiply_even(x: int, y: int) -> int:
@@ -43,4 +46,5 @@ def identity_even() -> int:
 
 def class_label(x: int) -> str:
     """The name of the class of x: b[x] for odd x, else a0 or a2."""
-    return f"b[{x}]" if x & 1 else f"a{x % 4}"
+    x = canonicalize(x)
+    return f"b[{x}]" if x & 1 else f"a{x}"

@@ -95,14 +95,16 @@ class MonoidContext:
         return self.identity_index, 1
 
     def multiply(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        # hot path: validity checks inlined; the try costs nothing until it raises
-        m, d, size = self._order, self._d, self._size
+        # hot path, validity checks inlined: a negative index is refused here
+        # (it would wrap round), one >= |End| fails at d[...] with IndexError;
+        # the try costs nothing until it raises
+        m, d = self._order, self._d
         try:
             xa, xk = x
             ya, yk = y
-            if 0 <= xa < size and 0 <= ya < size and xk % m == d[xa] and yk % m == d[ya]:
+            if xa >= 0 <= ya and xk % m == d[xa] and yk % m == d[ya]:
                 return self._comp[xa][ya], xk * yk
-        except (TypeError, ValueError):  # not a pair, or not of ints
+        except (IndexError, TypeError, ValueError):  # not a pair of ints of this context
             pass
         raise DomainMismatchError("operand is not a valid element of this monoid context")
 

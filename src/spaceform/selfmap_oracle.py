@@ -77,11 +77,16 @@ class OracleContext:
 def compose_selfmaps(
     ctx: OracleContext, f: tuple[int, int], g: tuple[int, int]
 ) -> tuple[int, int]:
+    """(fr gr mod m, fk gk); DomainMismatchError unless f, g are pairs with residues in 0..m-1."""
     m = ctx.m
-    (fr, fk), (gr, gk) = f, g
-    if not (0 <= fr < m and 0 <= gr < m):
-        raise DomainMismatchError("pi_1 residue out of range for this context")
-    return fr * gr % m, fk * gk
+    try:  # costs nothing until it raises
+        fr, fk = f
+        gr, gk = g
+        if 0 <= fr < m and 0 <= gr < m:
+            return fr * gr % m, fk * gk + 0  # + 0 refuses a str or sequence degree
+    except (TypeError, ValueError):  # not a pair, or not of numbers
+        raise DomainMismatchError(f"not a pair of ints: {f!r} o {g!r}") from None
+    raise DomainMismatchError("pi_1 residue out of range for this context")
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,12 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
     ``group`` is a cyclic group, checked with its built-in d, or a
     ``MonoidContext`` for (G, n), checked with the d it was built with.
     Enumerates every valid element with |degree| <= window in both
-    models, matches them under the endomorphism <-> residue bijection,
-    and compares all pairwise products.  Stops at the first discrepancy.
+    models and matches them under the endomorphism <-> residue
+    bijection.  Then, row by row in sorted order, every ordered pair
+    (f, g) goes once through ``MonoidContext.multiply`` and once through
+    ``compose_selfmaps``, and the two products are compared.  Stops at
+    the first discrepancy; ``product_count`` is the number of pairs
+    compared, all element_count**2 of them on a pass.
     """
     ctx = group if isinstance(group, MonoidContext) else None
     group = ctx.group if ctx else group
@@ -152,22 +161,20 @@ def cross_check(group, n: int, window: int) -> CrossCheckReport:
         )
 
     pairs = sorted(monoid_side)
-    monoid_elems = [ctx.element(to_index[r], k) for r, k in pairs]
+    both = [(ctx.element(to_index[r], k), (r, k)) for r, k in pairs]
     multiply = ctx.multiply
-    products = 0
-    for x, f in zip(monoid_elems, pairs):
-        for y, g in zip(monoid_elems, pairs):
+    for row, (x, f) in enumerate(both):
+        for y, g in both:
             alpha, k = multiply(x, y)
-            want = compose_selfmaps(oracle, f, g)
-            products += 1
-            if (to_residue[alpha], k) != want:
+            r, degree = compose_selfmaps(oracle, f, g)
+            if k != degree or to_residue[alpha] != r:
                 return report(
                     passed=False,
                     element_count=len(pairs),
-                    product_count=products,
+                    product_count=row * len(pairs) + pairs.index(g) + 1,
                     witness=(
                         f"product mismatch at {f}*{g}: "
-                        f"monoid gave {(to_residue[alpha], k)}, oracle gave {want}"
+                        f"monoid gave {(to_residue[alpha], k)}, oracle gave {(r, degree)}"
                     ),
                 )
-    return report(passed=True, element_count=len(pairs), product_count=products)
+    return report(passed=True, element_count=len(pairs), product_count=len(pairs) ** 2)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spaceform import A0, A2, canonicalize, class_label, identity_even, multiply_even, odd
-from spaceform.errors import NotOddError
+from spaceform.errors import DomainMismatchError, NotOddError
 
 
 class TestCanonicalize:
@@ -32,6 +32,18 @@ class TestCanonicalize:
     def test_odd_rejects_non_int(self, k):
         with pytest.raises(NotOddError):
             odd(k)
+
+    @pytest.mark.parametrize("k", [3.0, "3", None], ids=["float", "str", "none"])
+    def test_a_non_int_is_a_domain_mismatch(self, k):
+        with pytest.raises(DomainMismatchError):
+            canonicalize(k)
+        with pytest.raises(DomainMismatchError):
+            class_label(k)
+
+    def test_multiply_even_refuses_a_float_through_canonicalize(self):
+        for x, y in [(3.0, 3), (3, 3.0), (2.0, 2)]:
+            with pytest.raises(DomainMismatchError):
+                multiply_even(x, y)
 
     def test_classes_are_plain_ints(self):
         assert (A0, A2, identity_even(), odd(-7)) == (0, 2, 1, -7)

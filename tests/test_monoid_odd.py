@@ -79,8 +79,10 @@ class TestMultiply:
 
     def test_invalid_operand_rejected(self, c5n1):
         ident = c5n1.identity()
-        last = (-1, c5n1.dhom.values[-1])  # a negative index must not wrap round
-        for bad in [(2, 5), (1, 4, 0), None, last]:
+        d = c5n1.dhom.values
+        last = (-1, d[-1])  # a negative index must not wrap round
+        past_end = (len(d), d[0])  # fails at d[alpha], which must not leak an IndexError
+        for bad in [(2, 5), (1, 4, 0), None, last, past_end, (10**9, 1)]:
             assert not c5n1.is_valid(bad)
             for x, y in [(bad, ident), (ident, bad)]:
                 with pytest.raises(DomainMismatchError):

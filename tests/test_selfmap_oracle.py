@@ -1,6 +1,9 @@
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spaceform import (
     MonoidContext,
@@ -22,7 +25,62 @@ from spaceform.errors import (
     InvalidWindowError,
     UnsupportedGroupError,
 )
+from spaceform.selfmap_oracle import CrossCheckReport, _discrete_log
 from tests.conftest import naive_power_mod
+
+
+def reference_cross_check(ctx, n, window):
+    """cross_check on a context, with its earlier per-product loop.
+
+    Each product is rebuilt as (residue, degree) and compared whole, and
+    a counter runs along; the report must be the same as cross_check's.
+    """
+    group = ctx.group
+    z, log = _discrete_log(group.table)
+    oracle = OracleContext(group.order, n)
+    report = partial(CrossCheckReport, m=group.order, n=n, window=window)
+    to_residue = tuple(log[e.images[z]] for e in ctx.endos)
+    to_index = {r: i for i, r in enumerate(to_residue)}
+    monoid_side = {(to_residue[a], k) for a, k in ctx.elements_in_window(window)}
+    oracle_side = set(oracle.classes_in_window(window))
+    if monoid_side != oracle_side:
+        diff = (monoid_side - oracle_side) | (oracle_side - monoid_side)
+        return report(
+            passed=False,
+            element_count=len(monoid_side),
+            product_count=0,
+            witness=f"valid-element sets differ, e.g. {sorted(diff)[0]}",
+        )
+    pairs = sorted(monoid_side)
+    monoid_elems = [ctx.element(to_index[r], k) for r, k in pairs]
+    products = 0
+    for x, f in zip(monoid_elems, pairs):
+        for y, g in zip(monoid_elems, pairs):
+            alpha, k = ctx.multiply(x, y)
+            want = compose_selfmaps(oracle, f, g)
+            products += 1
+            if (to_residue[alpha], k) != want:
+                return report(
+                    passed=False,
+                    element_count=len(pairs),
+                    product_count=products,
+                    witness=(
+                        f"product mismatch at {f}*{g}: "
+                        f"monoid gave {(to_residue[alpha], k)}, oracle gave {want}"
+                    ),
+                )
+    return report(passed=True, element_count=len(pairs), product_count=products)
+
+
+def corrupted_context(m, n, a, b, shift):
+    """M(C_m, n) whose composition table has residue a o residue b moved by shift."""
+    g = make_cyclic(m)
+    z, log = _discrete_log(g.table)
+    index = {log[e.images[z]]: e.canonical_index for e in endomorphisms.enumerate_endomorphisms(g)}
+    comp = [list(row) for row in endomorphisms.stored_composition_table(g)]
+    i, j = index[a], index[b]
+    comp[i][j] = (comp[i][j] + shift) % m
+    return MonoidContext(monoid_context(g, n).dhom, comp)
 
 
 class TestOracleContext:
@@ -92,6 +150,13 @@ class TestCompose:
         ctx = OracleContext(m=2, n=1)
         with pytest.raises(DomainMismatchError):
             compose_selfmaps(ctx, (2, 3), (0, 2))
+
+    @pytest.mark.parametrize("bad", [(1, 2, 3), None, (1, "x")], ids=["triple", "none", "str"])
+    def test_a_non_pair_is_a_domain_mismatch(self, bad):
+        ctx = OracleContext(m=5, n=1)
+        for f, g in [(bad, (1, 1)), ((1, 1), bad), (bad, (2, 4)), ((2, 4), bad)]:
+            with pytest.raises(DomainMismatchError):
+                compose_selfmaps(ctx, f, g)
 
     @pytest.mark.parametrize("m,n", [(3, 1), (6, 2), (10, 3)])
     def test_closure(self, m, n):
@@ -195,3 +260,77 @@ class TestCrossCheck:
         g = make_cyclic(7)
         assert monoid_context(g, 1).dhom.values == (0, 1, 2, 4, 4, 2, 1)
         assert not cross_check(g, 1, 30).passed
+
+
+class TestCrossCheckAuditStrength:
+    """cross_check compares every ordered pair, once each, up to the first mismatch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, 3), st.integers(1, 2 * m),
+        st.integers(0, m - 1), st.integers(0, m - 1), st.integers(1, m - 1))))
+    def test_a_one_entry_corruption_is_reported_as_by_the_reference(self, case):
+        m, n, window, a, b, shift = case
+        ctx = corrupted_context(m, n, a, b, shift)
+        assert cross_check(ctx, n, window) == reference_cross_check(ctx, n, window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 3), st.integers(1, 24), st.data())
+    def test_a_wrong_degree_is_reported_as_by_the_reference(self, m, n, window, data):
+        ctx = monoid_context(make_cyclic(m), n)
+        count = len(list(ctx.elements_in_window(window)))
+        fault = data.draw(st.integers(0, count**2 - 1), label="faulty call")
+        real_multiply, calls = ctx.multiply, [0]
+
+        def multiply_with_one_wrong_degree(x, y):
+            alpha, k = real_multiply(x, y)
+            calls[0] += 1
+            return alpha, k + m if calls[0] == fault + 1 else k
+
+        ctx.multiply = multiply_with_one_wrong_degree
+        report = cross_check(ctx, n, window)
+        assert not report.passed and report.product_count == fault + 1
+        calls[0] = 0
+        assert report == reference_cross_check(ctx, n, window)
+
+    # on C12, n = 1, window 5, residue 0 holds the least pair and residue 11
+    # the greatest, each with one degree in [-5, 5]
+    @pytest.mark.parametrize("a,b,where", [(0, 7, "first row"), (11, 3, "last row"),
+                                           (11, 11, "last pair")])
+    def test_the_first_row_last_row_and_last_pair_are_reached(self, a, b, where):
+        ctx = corrupted_context(12, 1, a, b, 1)
+        report = cross_check(ctx, 1, 5)
+        assert report == reference_cross_check(ctx, 1, 5)
+        count = report.element_count
+        assert not report.passed
+        if where == "first row":
+            assert report.product_count <= count
+        elif where == "last row":
+            assert count * (count - 1) < report.product_count < count**2
+        else:
+            assert report.product_count == count**2
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["passing", "failing"])
+    def test_multiply_and_compose_run_once_per_pair_in_order(self, corrupt, monkeypatch):
+        ctx = corrupted_context(6, 1, 2, 3, 1) if corrupt else monoid_context(make_cyclic(6), 1)
+        multiplied, composed = [], []
+        real_multiply, real_compose = ctx.multiply, selfmap_oracle.compose_selfmaps
+
+        def counting_multiply(x, y):
+            multiplied.append((x, y))
+            return real_multiply(x, y)
+
+        def counting_compose(oracle, f, g):
+            composed.append((f, g))
+            return real_compose(oracle, f, g)
+
+        ctx.multiply = counting_multiply
+        monkeypatch.setattr(selfmap_oracle, "compose_selfmaps", counting_compose)
+        report = cross_check(ctx, 1, 12)
+        assert report.passed is not corrupt
+        expected = report.product_count if corrupt else report.element_count**2
+        assert report.product_count == expected == len(multiplied) == len(composed)
+        pairs = sorted(OracleContext(6, 1).classes_in_window(12))
+        assert composed == [(f, g) for f in pairs for g in pairs][:expected]
+        # on make_cyclic, the endomorphism of index r has residue r
+        assert multiplied == [(ctx.element(*f), ctx.element(*g)) for f, g in composed]
