@@ -23,6 +23,7 @@ from .endomorphisms import (
     enumerate_endomorphisms,
     identity_endomorphism,
     stored_composition_table,
+    stored_monoid_generators,
 )
 from .errors import (
     DTableFormatError,
@@ -33,25 +34,32 @@ from .errors import (
     UnknownIndexError,
     UnsupportedGroupError,
 )
-from .groups import FiniteGroup, as_int, greedy_generators
+from .groups import FiniteGroup, as_int
 
 
 def endo_residue(e: Endomorphism) -> int:
     """The residue r with e(z) = z^r for a generator z of a cyclic group.
 
     Independent of the choice of generator: if w = z^s then e(w) = w^r
-    for the same r.
+    for the same r.  Read off the discrete log of z, built on the first
+    call for a group and kept on it.
     """
-    g = e.group
+    log = _log(e.group)  # refuses a group that is not cyclic
+    return log[e.images[e.group.cyclic_generator]]
+
+
+def _log(g: FiniteGroup) -> tuple[int, ...]:
+    """log[z^r] = r for the generator z = ``g.cyclic_generator``, kept on ``g``."""
+    if "_log" in g.__dict__:
+        return g.__dict__["_log"]
     z = g.cyclic_generator
     if z is None:
         raise UnsupportedGroupError(f"{g!r} is not cyclic")
-    target = e.images[z]
-    acc, r = 0, 0
-    while acc != target:
+    log, acc = [0] * g.order, z
+    for r in range(1, g.order):
+        log[acc] = r
         acc = g.table[acc][z]
-        r += 1
-    return r
+    return g.__dict__.setdefault("_log", tuple(log))
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,9 @@ class LawFailure:
 
 
 def _edges_hold(
-    comp: tuple[tuple[int, ...], ...], ident: int, d: tuple[int, ...], m: int
+    comp: tuple[tuple[int, ...], ...], gens: tuple[int, ...], d: tuple[int, ...], m: int
 ) -> bool:
-    """d(x o s) = d(x) d(s) for every x and every s of ``greedy_generators(comp)``.
+    """d(x o s) = d(x) d(s) for every x and every s of End(G)'s monoid generators.
 
     With d(id) = 1 that is multiplicativity on all pairs: the set of y with
     d(x o y) = d(x) d(y) for all x holds id and is closed under o s, since
@@ -89,7 +97,7 @@ def _edges_hold(
     """
     return all(
         d[row[s]] == dx * d[s] % m
-        for s in greedy_generators(comp, ident)
+        for s in gens
         for dx, row in zip(d, comp)
     )
 
@@ -109,7 +117,7 @@ def _law_failures(g: FiniteGroup, d: tuple[int, ...]) -> list[LawFailure]:
             )
         )
     # the edges decide the law; the full scan runs only to name its failures
-    if failures or not _edges_hold(comp, ident, d, m):
+    if failures or not _edges_hold(comp, stored_monoid_generators(g), d, m):
         for i, row in enumerate(comp):
             di = d[i]
             for j, c in enumerate(row):
@@ -145,14 +153,13 @@ def build_degree_hom(
     """
     if n < 0:
         raise InvalidDimensionError(f"n must be >= 0, got {n}")
+    if user_table is None and g.cyclic_generator is None:  # before the End(G) search
+        raise UnsupportedGroupError(
+            f"no built-in degree homomorphism for non-cyclic {g!r}; supply a d-table"
+        )
     endos = enumerate_endomorphisms(g)
     m = g.order
     if user_table is None:
-        if g.cyclic_generator is None:
-            raise UnsupportedGroupError(
-                f"no built-in degree homomorphism for non-cyclic {g!r}; "
-                "supply a d-table"
-            )
         values = tuple(pow(endo_residue(e), n + 1, m) for e in endos)
         return DegreeHom(group=g, n=n, values=values, provenance="builtin-cyclic")
 

@@ -8,13 +8,17 @@ by a breadth-first walk of the right Cayley graph from phi(0) = 0,
 checking phi(x*s) = phi(x)*phi(s) on every edge (x, s) with s in S.
 Those |G|*|S| edge checks imply the homomorphism law on all of G x G
 (Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 2-3).
+The candidates are counted first, and a search above
+:data:`MAX_CANDIDATES` is refused before it starts.
 
 The same fact keys composition: a o b is found by its images on S,
 a(b(s)).  The composition table composes that way only the rows of the
 greedy monoid generators T of End(G); every other row is a gather,
 row(x o t)[j] = row(x)[row(t)[j]], along End(G)'s right Cayley graph
 from the identity.  That is |T| |End| |S| lookups plus one gather of
-|End| entries per row, instead of |End|^2 |S| lookups.
+|End| entries per row, instead of |End|^2 |S| lookups.  T is kept with
+the table, for the checks that decide a property of End(G) on its
+generators: d's multiplicativity, Light's test and commutativity.
 
 End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
 :func:`_enumerate`), with its composition table, computed once.  Two group
@@ -26,10 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .errors import DomainMismatchError, SizeCapError
 from .groups import FiniteGroup, greedy_generators, max_order
+
+# The End(G) search refuses more candidate generator images than this.  No
+# group that acts freely on a sphere within the order cap comes near it
+# (Q128 has 8.7e3); C2^6, which acts freely on none, has 6.9e10.
+MAX_CANDIDATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -87,12 +97,17 @@ def _extend(
 
 @dataclass(eq=False)
 class _EndData:
-    """End(G) in canonical order, indexed by images of the generating set."""
+    """End(G) in canonical order, indexed by images of the generating set.
+
+    ``monoid_gens`` are End(G)'s greedy monoid generators, recorded by the
+    walk of :func:`composition_table` that builds ``table``.
+    """
 
     group: FiniteGroup
     endos: tuple[Endomorphism, ...]
     gens: tuple[int, ...]
     index: dict[tuple[int, ...], int]  # generator images -> canonical index
+    monoid_gens: tuple[int, ...] | None = None
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -110,6 +125,12 @@ def _enumerate(g: FiniteGroup) -> _EndData:
     candidates = [
         [y for y in range(g.order) if orders[s] % orders[y] == 0] for s in gens
     ]
+    count = prod(map(len, candidates))
+    if count > MAX_CANDIDATES:
+        raise SizeCapError(
+            f"End(G) of {g!r} would search {count} candidate generator images, "
+            f"above the cap {MAX_CANDIDATES}"
+        )
     edges = _cayley_edges(g, gens)
     found = []
     for imgs in product(*candidates):
@@ -159,12 +180,15 @@ def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
     Only the rows of End(G)'s greedy monoid generators are composed image
     by image; every other row is a gather along the right Cayley graph of
-    End(G), walked as :func:`greedy_generators` walks a table.
+    End(G), walked as :func:`greedy_generators` walks a table.  The walk
+    records those generators on End(G)'s record, for the readers of the
+    stored table (:func:`stored_monoid_generators`).
     """
     data = _enumerate(g)
     endos, gens, index = data.endos, data.gens, data.index
     size = len(endos)
     if size == 1:  # trivial group; itemgetter of one index gives no tuple
+        data.monoid_gens = ()
         return ((0,),)
     # at_gens[k][j] = endo_j(gens[k]), so a o endo_j has key (a(at_gens[k][j]) for k)
     at_gens = [tuple(b.images[s] for b in endos) for s in gens]
@@ -198,9 +222,17 @@ def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
                     rows[y] = step(rx)
                     fresh.append(y)
         seen += fresh
+    data.monoid_gens = tuple(s for s, _ in steps)
     return tuple(rows)
 
 
 def stored_composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """:func:`composition_table` of ``g``, computed on first use and kept with End(G)."""
     return _enumerate(g).table
+
+
+def stored_monoid_generators(g: FiniteGroup) -> tuple[int, ...]:
+    """``greedy_generators`` of :func:`stored_composition_table` from the identity,
+    as the walk that built that table found them."""
+    stored_composition_table(g)  # the walk that builds it records them
+    return _enumerate(g).monoid_gens

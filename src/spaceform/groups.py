@@ -3,12 +3,14 @@
 All groups live as immutable Cayley tables with the identity pinned at
 index 0.  Every constructor ends in :func:`_finish`, and every table
 passes through :func:`_check_table` there, the one validator: shape,
-Latin square, a two-sided identity (relabelled to index 0 when it sits
-elsewhere) and associativity.  So any :class:`FiniteGroup` in
-circulation is a genuine group.  G's table, End(G)'s composition table
-and the units E(G, n) share one routine per table property:
-:func:`is_commutative`, :func:`orders_in` (relative to a given identity),
-:func:`identity_row` and :func:`first_nonassociative`.
+rows that permute, a two-sided identity (relabelled to index 0 when it
+sits elsewhere) and associativity.  The columns then permute too: a
+finite monoid whose left multiplications are bijections is a group, so
+they are scanned only to name the failure of a table that is none.  So
+any :class:`FiniteGroup` in circulation is a genuine group.  G's table,
+End(G)'s composition table and the units E(G, n) share one routine per
+table property: :func:`is_commutative`, :func:`orders_in` (relative to a
+given identity), :func:`identity_row` and :func:`first_nonassociative`.
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
@@ -19,6 +21,8 @@ whose products, grown from the identity, reach every element, T is the
 whole table.  Checking y in A only costs O(n^2 |A|) instead of O(n^3).
 The argument uses no inverses, so it decides associativity of any finite
 table with a two-sided identity, such as the composition table of End(G).
+Commutativity is decided on the same generators: the elements that
+commute with a given x form such a closed set.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -85,9 +90,20 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-def is_commutative(table: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether x*y = y*x for every pair of elements."""
-    return all(row[y] == table[y][x] for x, row in enumerate(table) for y in range(x))
+def is_commutative(
+    table: tuple[tuple[int, ...], ...], ident: int = 0, gens: Sequence[int] | None = None
+) -> bool:
+    """Whether x*y = y*x for every pair, decided on the greedy generators.
+
+    The table must be associative with two-sided identity ``ident``; ``gens``
+    are its ``greedy_generators(table, ident)``, walked here if not given.
+    Row s equal to column s for each generator s suffices: the elements
+    that commute with a given x hold the identity and are closed under the
+    product, so they hold every word in the generators.
+    """
+    if gens is None:
+        gens = greedy_generators(table, ident)
+    return all(table[s] == tuple(map(operator.itemgetter(s), table)) for s in gens)
 
 
 def orders_in(table: tuple[tuple[int, ...], ...], ident: int) -> tuple[int, ...]:
@@ -156,7 +172,9 @@ def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> lis
 def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
     """Latin square + two-sided identity + associativity, or raise.
 
-    Returns the index of the identity.
+    Returns the index of the identity.  The columns are scanned only when
+    the identity check or Light's test fails, to name a repeated column
+    first (module docstring).
     """
     n = len(table)
     elems = set(range(n))
@@ -165,34 +183,41 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
             raise StructureError(f"row {i} has length {len(row)}, expected {n}")
         if set(row) != elems:
             raise StructureError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j, col in enumerate(zip(*table)):
-        if set(col) != elems:
-            raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
-    # in a Latin square at most one row is the identity row
+    # the first identity row; a second one would repeat every column
     ident = identity_row(table)
     if ident is None or any(row[ident] != x for x, row in enumerate(table)):
+        _check_columns(table)
         raise NotAGroupError("table has no two-sided identity")
     # Light's test (module docstring) decides and names the triple it found
-    if triple := first_nonassociative(table, ident):
+    if triple := first_nonassociative(table, greedy_generators(table, ident)):
+        _check_columns(table)
         x, y, z = triple
         raise NotAGroupError(f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})")
     return ident
 
 
+def _check_columns(table: tuple[tuple[int, ...], ...]) -> None:
+    n = len(table)
+    for j, col in enumerate(zip(*table)):
+        if set(col) != set(range(n)):
+            raise StructureError(f"column {j} is not a permutation of 0..{n - 1}")
+
+
 def first_nonassociative(
-    table: tuple[tuple[int, ...], ...], ident: int
+    table: tuple[tuple[int, ...], ...], gens: Sequence[int]
 ) -> tuple[int, int, int] | None:
     """A triple (x, y, z) with (x*y)*z != x*(y*z), or None if there is none.
 
-    Light's test (module docstring), y in ``greedy_generators(table, ident)``
-    only; ``ident`` must already be a two-sided identity, or the generators
-    may never end.  Compares whole rows: row (x*y) against x applied to row y.
+    Light's test (module docstring), y in ``gens`` only: the table's
+    ``greedy_generators`` from a two-sided identity.  Compares whole rows:
+    row (x*y) against row x gathered at row y.
     """
-    ys = greedy_generators(table, ident)
+    # a table with one element has no generators, so each gather gives a tuple
+    gathers = [(y, operator.itemgetter(*table[y])) for y in gens]
     for x, tx in enumerate(table):
-        for y in ys:
+        for y, gather in gathers:
             txy = table[tx[y]]
-            x_yz = tuple(map(tx.__getitem__, table[y]))
+            x_yz = gather(tx)
             if txy != x_yz:
                 z = next(z for z, (a, b) in enumerate(zip(txy, x_yz)) if a != b)
                 return x, y, z
@@ -219,8 +244,8 @@ def make_cyclic(m: int) -> FiniteGroup:
     """The cyclic group C_m with i*j = (i+j) mod m."""
     if m < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {m}")
-    table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    return _finish(table, f"C{m}")
+    twice = tuple(range(m)) * 2
+    return _finish(tuple(twice[i:i + m] for i in range(m)), f"C{m}")
 
 
 def make_generalized_quaternion(order: int) -> FiniteGroup:

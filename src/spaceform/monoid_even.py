@@ -36,8 +36,16 @@ def canonicalize(k: int) -> int:
 
 
 def multiply_even(x: int, y: int) -> int:
-    """Exact on any representatives: 2 * odd = 2 and 2 * 2 = 0 mod 4."""
-    return canonicalize(x * y)
+    """Exact on any representatives: 2 * odd = 2 and 2 * 2 = 0 mod 4.
+
+    Takes classes built by ``odd``, ``A0``, ``A2`` or an earlier product.
+    Types are not checked; operands that do not multiply to an int raise
+    DomainMismatchError.
+    """
+    try:  # costs nothing until it raises
+        return canonicalize(x * y)
+    except TypeError:  # None, or a str times a str
+        raise DomainMismatchError(f"classes of M(RP^2n) are ints, got {x!r}, {y!r}") from None
 
 
 def identity_even() -> int:

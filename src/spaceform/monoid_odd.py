@@ -10,6 +10,7 @@ integers are distinct homotopy classes and the monoid is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .degree import DegreeHom, build_degree_hom
@@ -18,10 +19,12 @@ from .endomorphisms import (
     enumerate_endomorphisms,
     identity_endomorphism,
     stored_composition_table,
+    stored_monoid_generators,
 )
 from .errors import DomainMismatchError, NotRealizableError
 from .groups import (
-    FiniteGroup, as_int, first_nonassociative, identity_row, is_commutative, orders_in
+    FiniteGroup, as_int, first_nonassociative, greedy_generators, identity_row,
+    is_commutative, orders_in,
 )
 
 
@@ -44,7 +47,7 @@ class EquivalenceGroup:
         return orders_in(self.table, self.identity_position())
 
     def is_abelian(self) -> bool:
-        return is_commutative(self.table)
+        return is_commutative(self.table, self.identity_position())
 
 
 class MonoidContext:
@@ -56,7 +59,11 @@ class MonoidContext:
         self.n = dhom.n
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
-        self._comp = stored_composition_table(group) if comp is None else comp
+        if comp is None:
+            self._comp = stored_composition_table(group)
+            self.generators = stored_monoid_generators(group)
+        else:
+            self._comp = comp
         self._d = dhom.values
         self._order = group.order
         self._size = len(self.endos)
@@ -64,6 +71,15 @@ class MonoidContext:
 
     def __repr__(self) -> str:
         return f"MonoidContext({self.group!r}, n={self.n})"
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """``greedy_generators`` of an injected ``comp``, walked on first use.
+
+        The stored table's come with it.  The walk ends only if the identity
+        endomorphism is a left identity of ``comp``.
+        """
+        return tuple(greedy_generators(self._comp, self.identity_index))
 
     # -- element construction and arithmetic --
 
@@ -95,6 +111,11 @@ class MonoidContext:
         return self.identity_index, 1
 
     def multiply(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        """(a o b, kl) for elements built by ``element``, ``identity`` or a product.
+
+        No type is checked, so an integral float degree passes; any other
+        operand that is no element of this context raises DomainMismatchError.
+        """
         # hot path, validity checks inlined: a negative index is refused here
         # (it would wrap round), one >= |End| fails at d[...] with IndexError;
         # the try costs nothing until it raises
@@ -126,14 +147,17 @@ class MonoidContext:
         ]
         elems.sort()
         pos = {x: i for i, x in enumerate(elems)}
-        table = tuple(
-            tuple(pos[self.multiply(x, y)] for y in elems) for x in elems
-        )
+        # units are elements, so each product is read off End(G)'s row of alpha
+        rows = [(self._comp[a], k) for a, k in elems]
+        table = tuple(tuple(pos[row[b], k * l] for b, l in elems) for row, k in rows)
         return EquivalenceGroup(elements=tuple(elems), table=table)
 
     def is_abelian(self) -> bool:
-        """M(G, n) is abelian iff End(G) commutes (degrees always commute)."""
-        return is_commutative(self._comp)
+        """M(G, n) is abelian iff End(G) commutes (degrees always commute).
+
+        Decided on End(G)'s monoid generators, so ``comp`` must be associative.
+        """
+        return is_commutative(self._comp, gens=self.generators)
 
     def realizable_degrees(self) -> set[int]:
         """{ d(alpha) : alpha in End(G) } as least non-negative residues mod |G|."""
@@ -184,7 +208,7 @@ def monoid_axioms(ctx: MonoidContext) -> str | None:
             return f"identity endo {ident} o endo {x} = endo {left}"
         if row[ident] != x:
             return f"endo {x} o identity endo {ident} = endo {row[ident]}"
-    triple = first_nonassociative(comp, ident)
+    triple = first_nonassociative(comp, ctx.generators)
     if triple is None:
         return None
     x, y, z = triple

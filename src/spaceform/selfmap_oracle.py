@@ -77,7 +77,10 @@ class OracleContext:
 def compose_selfmaps(
     ctx: OracleContext, f: tuple[int, int], g: tuple[int, int]
 ) -> tuple[int, int]:
-    """(fr gr mod m, fk gk); DomainMismatchError unless f, g are pairs with residues in 0..m-1."""
+    """(fr gr mod m, fk gk) of classes from ``classes_in_window`` or a product.
+
+    No type is checked; DomainMismatchError unless f, g are pairs with residues in 0..m-1.
+    """
     m = ctx.m
     try:  # costs nothing until it raises
         fr, fk = f

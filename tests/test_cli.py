@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import permutations
 from pathlib import Path
 
@@ -514,6 +515,38 @@ class TestCheckCommand:
             "passed": False,
             "suite": "oracle-cross-check",
         }
+
+
+class TestEndSearchBound:
+    """C2^6 is within the order cap, but its End(G) search has 64^6 candidates."""
+
+    @pytest.fixture
+    def c2_6(self, tmp_path):
+        g = spaceform.make_cyclic(2)
+        for _ in range(5):
+            g = spaceform.direct_product(g, spaceform.make_cyclic(2))
+        group = tmp_path / "c2_6.json"
+        group.write_text(json.dumps({"table": [list(row) for row in g.table]}))
+        ones = tmp_path / "ones.json"
+        ones.write_text(json.dumps({"n": 1, "values": {"0": 1}}))
+        return f"table:{group}", str(ones)
+
+    def test_monoid_and_check_end_in_a_verdict_within_seconds(self, capsys, c2_6):
+        spec, ones = c2_6
+        start = time.perf_counter()
+        code, out, err = run(capsys, "monoid", "--group", spec, "--n", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("input error: no built-in degree homomorphism for non-cyclic")
+        code, out, _ = run(capsys, "check", "--group", spec, "--n", "1", "--format", "json")
+        assert code == EXIT_VALIDATION
+        assert [(r["suite"], r["passed"]) for r in json.loads(out)["rows"]] == [
+            ("admissibility", False), ("degree-hom", False)
+        ]
+        for command in ("monoid", "check"):
+            code, out, err = run(capsys, command, "--group", spec, "--n", "1", "--d-table", ones)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert f"would search {64 ** 6} candidate generator images" in err
+        assert time.perf_counter() - start < 10
 
 
 class TestCensusCommand:

@@ -290,6 +290,16 @@ def test_greedy_generators_equal_naive_closure(g, data):
     assert greedy_generators(comp, ident) == naive_greedy_generators(comp, ident)
 
 
+@PROPERTY
+@given(groups(24))
+def test_the_table_walk_records_the_greedy_monoid_generators(g):
+    comp = endomorphisms.stored_composition_table(g)
+    ident = endomorphisms.identity_endomorphism(g).canonical_index
+    gens = tuple(greedy_generators(comp, ident))
+    assert endomorphisms.stored_monoid_generators(g) == gens
+    assert monoid_context(g, 1, {i: 1 for i in range(len(comp))}).generators == gens
+
+
 C2 = make_cyclic(2)
 HARD_SHAPES = [
     (make_cyclic(1), 0),
@@ -312,6 +322,7 @@ def test_composition_table_on_hard_shapes(monkeypatch, g, end_gens):
     gens = greedy_generators(comp, ident)
     assert len(gens) == end_gens
     assert gens == naive_greedy_generators(comp, ident)
+    assert endomorphisms.stored_monoid_generators(g) == tuple(gens)
 
 
 def count_composition_tables(monkeypatch) -> list:

@@ -5,6 +5,7 @@ import pytest
 
 from spaceform import (
     compose,
+    direct_product,
     enumerate_automorphisms,
     enumerate_endomorphisms,
     identity_endomorphism,
@@ -74,6 +75,17 @@ class TestEnumeration:
         monkeypatch.setenv("SPACEFORM_MAX_ORDER", "10")
         with pytest.raises(SizeCapError):
             enumerate_endomorphisms(g)
+
+    def test_a_search_above_the_candidate_cap_is_refused_before_it_starts(self):
+        # C2^6 is within the order cap; each of its 6 generators has 64 images
+        g = make_cyclic(2)
+        for _ in range(5):
+            g = direct_product(g, make_cyclic(2))
+        with pytest.raises(SizeCapError, match=f"search {64 ** 6} candidate generator images"):
+            enumerate_endomorphisms(g)
+        # C2^3 has 8^3 = 512 candidates, all of them endomorphisms
+        c2_3 = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(2))
+        assert len(enumerate_endomorphisms(c2_3)) == 512
 
 
 class TestGeneratingSet:

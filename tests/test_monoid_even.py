@@ -45,6 +45,12 @@ class TestCanonicalize:
             with pytest.raises(DomainMismatchError):
                 multiply_even(x, y)
 
+    @pytest.mark.parametrize("x, y", [(None, 3), (3, None), ("a", "b"), ([1], (2,))])
+    def test_multiply_even_refuses_operands_that_do_not_multiply(self, x, y):
+        with pytest.raises(DomainMismatchError) as info:
+            multiply_even(x, y)
+        assert info.value.__cause__ is None
+
     def test_classes_are_plain_ints(self):
         assert (A0, A2, identity_even(), odd(-7)) == (0, 2, 1, -7)
         for x in (A0, A2, odd(3), canonicalize(-10), multiply_even(odd(3), A2)):

@@ -10,6 +10,16 @@
   composition table by an identity check and Light's test; the reference
   is d(id) = 1 and every triple of the table, and each witness it
   returns is checked against the table.
+- ``groups.is_commutative`` compares row and column only for the greedy
+  generators; the reference compares every pair, on group tables, End(G)
+  tables and unit-group tables.
+- ``groups._check_table`` scans the columns only to name a failure; the
+  reference is the full check, on tables whose rows permute but whose
+  columns need not.
+- ``MonoidContext.equivalence_group`` reads products off End(G)'s rows,
+  ``make_cyclic`` builds its rows as slices and ``degree.endo_residue``
+  reads a stored discrete log; the references are ``multiply``,
+  (i + j) mod m and the walk z, z^2, ... to the image of z.
 
 The references are written out here and share no code with the package.
 """
@@ -26,16 +36,17 @@ from hypothesis import strategies as st
 from spaceform import (
     build_degree_hom,
     direct_product,
+    enumerate_endomorphisms,
     identity_endomorphism,
     make_cyclic,
     make_from_table,
     make_generalized_quaternion,
     monoid_context,
 )
-from spaceform.degree import DegreeHom, validate_degree_hom
+from spaceform.degree import DegreeHom, endo_residue, validate_degree_hom
 from spaceform.endomorphisms import composition_table, stored_composition_table
 from spaceform.errors import NotAGroupError, StructureError
-from spaceform.groups import _check_table, greedy_generators
+from spaceform.groups import _check_table, greedy_generators, is_commutative
 from spaceform.monoid_odd import MonoidContext, monoid_axioms
 from tests.test_end_properties import groups
 
@@ -137,6 +148,8 @@ def verdict(check, table):
         return ("group", check(table))
     except NotAGroupError as exc:
         return ("not a group", str(exc))
+    except StructureError as exc:
+        return ("not a Latin square", str(exc))
 
 
 # a loop whose lexicographically first failing triple, (0*2)*0, is not the
@@ -174,6 +187,28 @@ class TestLightsTest:
         assert verdict(_check_table, LOOP_6) == (
             "not a group", "associativity fails at (0*4)*0 != 0*(4*0)"
         )
+
+    @PROPERTY
+    @given(st.data())
+    def test_a_repeated_column_is_named_as_by_the_full_check(self, data):
+        """Rows that permute, often with a two-sided identity, columns at random."""
+        n = data.draw(st.integers(2, 7))
+        ident = data.draw(st.integers(0, n - 1))
+        two_sided = data.draw(st.booleans())
+        table = []
+        for x in range(n):
+            row = data.draw(st.permutations(range(n)))
+            if x == ident:
+                row = range(n)
+            elif two_sided:  # move x to column ident
+                row = list(row)
+                at = row.index(x)
+                row[at], row[ident] = row[ident], x
+            table.append(tuple(row))
+        want = verdict(brute_force_check_table, tuple(table))
+        got = verdict(_check_table, tuple(table))
+        assert got[0] == want[0]
+        assert got == want or got[0] == "not a group"  # Light may name another triple
 
     def test_the_loops_include_groups_and_non_groups(self):
         rng = random.Random(4)
@@ -370,3 +405,112 @@ def test_exact_decision_agrees_with_every_triple(ctx):
     d_ident_is_one = ctx.dhom.values[ident] == 1 % ctx.group.order
     assert (witness is None) == (d_ident_is_one and every_triple_is_a_monoid(comp, ident))
     assert witness is None or witness_fails(ctx, witness)
+
+
+def commutes_pairwise(table) -> bool:
+    """The scan is_commutative replaced: x*y = y*x for every pair."""
+    return all(row[y] == table[y][x] for x, row in enumerate(table) for y in range(x))
+
+
+def ones_context(g, n: int):
+    """M(G, n) with the built-in d for a cyclic G, else d = 1."""
+    table = None if g.cyclic_generator is not None else {
+        i: 1 for i in range(len(stored_composition_table(g)))
+    }
+    return monoid_context(g, n, table)
+
+
+class TestCommutativity:
+    @PROPERTY
+    @given(groups(24), st.integers(0, 3))
+    def test_same_answer_as_every_pair(self, g, n):
+        assert is_commutative(g.table) == commutes_pairwise(g.table)
+        ctx = ones_context(g, n)
+        assert ctx.is_abelian() == commutes_pairwise(ctx._comp)
+        eg = ctx.equivalence_group()
+        assert eg.is_abelian() == commutes_pairwise(eg.table)
+
+    @PROPERTY
+    @given(groups(24), st.data())
+    def test_the_identity_may_sit_anywhere(self, g, data):
+        perm = data.draw(st.permutations(range(g.order)))
+        table = [[0] * g.order for _ in range(g.order)]
+        for x in range(g.order):
+            for y in range(g.order):
+                table[perm[x]][perm[y]] = perm[g.table[x][y]]
+        table = tuple(map(tuple, table))
+        assert is_commutative(table, perm[0]) == commutes_pairwise(table)
+
+    def test_both_answers_occur(self):
+        # End(C_m) is Z/m under multiplication; End(C2 x C2) holds 2x2 matrices
+        klein = direct_product(make_cyclic(2), make_cyclic(2))
+        assert ones_context(make_cyclic(12), 1).is_abelian()
+        assert not ones_context(klein, 1).is_abelian()
+        assert not ones_context(klein, 1).equivalence_group().is_abelian()
+
+
+def units_by_multiply(ctx):
+    """The unit group's table as it was built: every pair through ``multiply``."""
+    elems = ctx.equivalence_group().elements
+    pos = {x: i for i, x in enumerate(elems)}
+    return tuple(tuple(pos[ctx.multiply(x, y)] for y in elems) for x in elems)
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 40).map(make_cyclic), st.integers(0, 4)),
+        st.tuples(
+            st.sampled_from([8, 12, 16, 20, 24, 32]).map(make_generalized_quaternion),
+            st.integers(1, 2),
+        ),
+    )
+)
+@example((make_cyclic(1), 0))
+@example((make_cyclic(2), 3))
+def test_unit_table_equals_the_one_built_by_multiply(case):
+    g, n = case
+    ctx = ones_context(g, n)
+    assert ctx.equivalence_group().table == units_by_multiply(ctx)
+
+
+def test_cyclic_tables_are_addition_mod_m():
+    for m in range(1, 129):
+        assert make_cyclic(m).table == tuple(
+            tuple((i + j) % m for j in range(m)) for i in range(m)
+        )
+
+
+def residue_by_walk(e) -> int:
+    """The walk endo_residue replaced: z, z^2, ... until e(z)."""
+    g = e.group
+    z = g.cyclic_generator
+    acc, r = 0, 0
+    while acc != e.images[z]:
+        acc = g.table[acc][z]
+        r += 1
+    return r
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.randoms(use_true_random=False))
+def test_endo_residue_equals_the_walk_on_relabelled_cyclic_tables(m, rng):
+    label = rng.sample(range(m), m)
+    table = [[0] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            table[label[x]][label[y]] = label[(x + y) % m]
+    g = make_from_table(table)
+    assert [endo_residue(e) for e in enumerate_endomorphisms(g)] == [
+        residue_by_walk(e) for e in enumerate_endomorphisms(g)
+    ]
+
+
+def test_an_injected_table_is_walked_for_its_own_generators():
+    # C_4 with 0 o 0 -> 2: End(C_4)'s generators are 0, 2, 3; this table's 0, 3
+    g = make_cyclic(4)
+    comp = [list(row) for row in stored_composition_table(g)]
+    comp[0][0] = 2
+    ctx = MonoidContext(build_degree_hom(g, 1), tuple(map(tuple, comp)))
+    assert monoid_context(g, 1).generators == (0, 2, 3)
+    assert ctx.generators == (0, 3) == tuple(greedy_generators(ctx._comp, 1))
