@@ -3,7 +3,7 @@
 An endomorphism is fixed by its images on a generating set S (greedy
 closure), so the search runs over generator images only: |G|^|S|
 candidates instead of |G|^|G|, minus every candidate image whose order
-does not divide the order of its generator.  Each candidate is extended
+does not divide the order of its generator.  A candidate is extended
 by a breadth-first walk of the right Cayley graph from phi(0) = 0,
 checking phi(x*s) = phi(x)*phi(s) on every edge (x, s) with s in S.
 Those |G|*|S| edge checks imply the homomorphism law on all of G x G
@@ -11,7 +11,23 @@ Those |G|*|S| edge checks imply the homomorphism law on all of G x G
 The candidates are counted first, and a search above
 :data:`MAX_CANDIDATES` is refused before it starts.
 
-The same fact keys composition: a o b is found by its images on S,
+Most candidates are decided without being extended.  For an automorphism
+a, a o phi is an endomorphism exactly when phi is one (phi is
+a^-1 o (a o phi)), and its images on S are a(phi(s)).  So the group A of
+automorphisms found so far acts on the candidates by c -> a(c), and one
+extension decides a whole orbit: either every candidate in it extends to
+no endomorphism, or the orbit is {a o phi : a in A}.  The loop takes the
+candidates in product order and extends those not yet decided.  A failure
+refuses its orbit, a non-injective phi adds its orbit to End(G), and a new
+automorphism grows A to <A, phi> by the walk that :func:`composition_table`
+uses.  An orbit is walked by A's generators alone, one gather a step.
+Each candidate is decided as extending it would decide it, so End(G), its
+order and its indexing are those of the exhaustive search; Q64 extends 93
+of its 2304 candidates, C128 11 of 128.  A group with one generator is
+cyclic, and there every candidate extends, so a refused candidate has two
+images or more.
+
+Composition is keyed the same way: a o b is found by its images on S,
 a(b(s)).  The composition table composes that way only the rows of the
 greedy monoid generators T of End(G); every other row is a gather,
 row(x o t)[j] = row(x)[row(t)[j]], along End(G)'s right Cayley graph
@@ -55,7 +71,7 @@ class Endomorphism:
         return self.images[x]
 
 
-def _cayley_edges(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
+def _cayley_edges(g: FiniteGroup, gens: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """Edges (x, i, x*gens[i]) of the right Cayley graph, in BFS order from 0.
 
     Every edge's source is reached by an earlier edge (or is 0).
@@ -114,13 +130,52 @@ class _EndData:
         return composition_table(self.group)
 
 
+def _tuple_getter(idx: tuple[int, ...]) -> itemgetter:
+    """``itemgetter(*idx)``, giving a tuple for a single index too."""
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx)
+
+
+def _orbit(auts: list, key: tuple[int, ...]) -> set:
+    """{a(key) : a in A}, A the group generated by the image arrays ``auts``.
+
+    The orbit is walked by the generators alone, one gather a step.
+    """
+    orbit = {key}
+    todo = [key] if auts else []  # a trivial A fixes the key: build no getter
+    for k in todo:  # the list grows while it is walked
+        at = itemgetter(*k)  # two entries or more: see the module docstring
+        for a in auts:
+            y = at(a)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _orbit_maps(auts: list, key: tuple[int, ...], images: tuple[int, ...]) -> dict:
+    """{a(key): a o images} for a in the group generated by ``auts``, walked
+    as :func:`_orbit` walks the keys."""
+    orbit = {key: images}
+    todo = [(key, images)] if auts else []
+    for k, x in todo:  # the list grows while it is walked
+        at_k, at_x = _tuple_getter(k), itemgetter(*x)
+        for a in auts:
+            y = at_k(a)
+            if y not in orbit:
+                orbit[y] = z = at_x(a)
+                todo.append((y, z))
+    return orbit
+
+
 def _enumerate(g: FiniteGroup) -> _EndData:
     """End(G), searched on the first call for ``g`` and kept on it."""
     if "_end" in g.__dict__:
         return g.__dict__["_end"]
     if g.order > max_order():
         raise SizeCapError(f"order {g.order} exceeds cap {max_order()}")
-    gens = greedy_generators(g.table)
+    gens = tuple(greedy_generators(g.table))
     orders = g.element_orders
     candidates = [
         [y for y in range(g.order) if orders[s] % orders[y] == 0] for s in gens
@@ -132,23 +187,51 @@ def _enumerate(g: FiniteGroup) -> _EndData:
             f"above the cap {MAX_CANDIDATES}"
         )
     edges = _cayley_edges(g, gens)
-    found = []
+    auts = [tuple(range(g.order))]  # the group A of automorphisms found so far
+    found = {gens: auts[0]}  # generator images -> image array, for End(G)
+    refused = set()  # candidates known to extend to no endomorphism
+    agens = []  # generators of A
+    steps = []  # per generator t of A: x -> x o t and the generator images of x o t
     for imgs in product(*candidates):
+        if imgs in found:
+            continue
+        if imgs in refused:
+            refused.remove(imgs)  # the loop never comes back to it
+            continue
         phi = _extend(g, edges, imgs)
-        if phi is not None:
-            found.append(phi)
-    found.sort()
+        if phi is None:
+            refused |= _orbit(agens, imgs)
+        elif phi.count(0) > 1:  # a nontrivial kernel
+            found.update(_orbit_maps(agens, imgs, phi))
+        else:  # close A to <A, phi>, walked as composition_table walks End(G)
+            agens.append(phi)
+            steps.append((itemgetter(*phi), _tuple_getter(imgs)))
+            gather, key = steps[-1]
+            fresh = []
+            for x in auts:  # closed under the earlier generators already
+                k = key(x)
+                if k not in found:
+                    found[k] = y = gather(x)
+                    fresh.append(y)
+            for x in fresh:  # the list grows while it is walked
+                for gather, key in steps:
+                    k = key(x)
+                    if k not in found:
+                        found[k] = y = gather(x)
+                        fresh.append(y)
+            auts += fresh
+    keys = sorted(found, key=found.__getitem__)
     endos = tuple(
         Endomorphism(
             group=g,
-            images=images,
-            is_automorphism=len(set(images)) == g.order,
+            images=x,
+            is_automorphism=x.count(0) == 1,  # a trivial kernel
             canonical_index=i,
         )
-        for i, images in enumerate(found)
+        for i, x in enumerate(map(found.__getitem__, keys))
     )
-    index = {tuple(images[s] for s in gens): i for i, images in enumerate(found)}
-    return g.__dict__.setdefault("_end", _EndData(g, endos, tuple(gens), index))
+    index = {k: i for i, k in enumerate(keys)}
+    return g.__dict__.setdefault("_end", _EndData(g, endos, gens, index))
 
 
 def enumerate_endomorphisms(g: FiniteGroup) -> list[Endomorphism]:

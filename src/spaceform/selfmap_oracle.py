@@ -41,32 +41,42 @@ class OracleContext:
             raise InvalidDimensionError(f"n must be >= 0, got {self.n}")
 
     def naive_degree(self, r: int) -> int:
-        """r^{n+1} mod m by repeated multiplication (deliberately not pow)."""
-        acc = 1 % self.m
-        for _ in range(self.n + 1):
-            acc = acc * r % self.m
-        return acc
+        """r^{n+1} mod m by repeated multiplication (deliberately not pow).
 
-    def coset_in_window(self, r: int, window: int) -> list[int]:
-        """All representatives of d(r) + mZ with absolute value <= window."""
+        The powers r^0, r^1, ... mod m repeat within m steps; once one
+        does, r^{n+1} is read off the cycle, so at most min(n+1, m)
+        products are taken.
+        """
+        m, e = self.m, self.n + 1
+        powers = [1 % m]  # powers[i] = r^i mod m
+        first = {powers[0]: 0}
+        while len(powers) <= e:
+            acc = powers[-1] * r % m
+            if acc in first:  # r^i = r^(start + (i - start) % period) from start on
+                start = first[acc]
+                return powers[start + (e - start) % (len(powers) - start)]
+            first[acc] = len(powers)
+            powers.append(acc)
+        return powers[e]
+
+    def coset_in_window(self, r: int, window: int, center: int = 0) -> list[int]:
+        """All representatives of d(r) + mZ within ``window`` of ``center``."""
         d = self.naive_degree(r)
-        rep = d
-        while rep - self.m >= -window:
-            rep -= self.m
+        rep = d - (d - center + window) // self.m * self.m  # the least >= center - window
         out = []
-        while rep <= window:
-            if rep >= -window:
-                out.append(rep)
+        while rep <= center + window:
+            out.append(rep)
             rep += self.m
         return out
 
     def is_valid(self, f: tuple[int, int]) -> bool:
-        """Membership by direct coset scan; False but for a pair of ints (no float, bool)."""
+        """Membership by direct scan of the coset near the degree; False but
+        for a pair of ints (no float, bool)."""
         try:
             pi1, degree = map(as_int, f)
             if not 0 <= pi1 < self.m:
                 return False
-            return degree in self.coset_in_window(pi1, abs(degree) + self.m)
+            return degree in self.coset_in_window(pi1, self.m, degree)
         except (TypeError, ValueError):  # not a pair, or not of ints
             return False
 

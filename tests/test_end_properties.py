@@ -2,9 +2,11 @@
 
 Groups are drawn at random: cyclic, generalized quaternion, direct
 products of two small cyclics, and relabellings of those through
-``make_from_table`` with the identity moved off index 0.  Every oracle
-here is written in this file or in ``conftest`` and shares no code with
-``spaceform.endomorphisms``.
+``make_from_table`` with the identity moved off index 0.  The orbit search
+is also drawn against :func:`exhaustive_search`, which extends every
+candidate, on groups up to order 64 that include Q8 x C_k and Q16 x C2.
+Every oracle here is written in this file or in ``conftest`` and shares
+no code with ``spaceform.endomorphisms``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import gc
 import sys
 import weakref
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,9 +61,9 @@ def base_groups(max_order: int):
 
 
 @st.composite
-def relabelled(draw, max_order: int):
-    """A group given by a table whose identity is not at index 0."""
-    g = draw(base_groups(max_order).filter(lambda g: g.order > 1))
+def relabelled(draw, base):
+    """A group drawn from ``base``, given by a table whose identity is not at index 0."""
+    g = draw(base.filter(lambda g: g.order > 1))
     perm = draw(st.permutations(range(g.order)).filter(lambda p: p[0] != 0))
     table = [[0] * g.order for _ in range(g.order)]
     for x in range(g.order):
@@ -70,7 +73,62 @@ def relabelled(draw, max_order: int):
 
 
 def groups(max_order: int):
-    return st.one_of(base_groups(max_order), relabelled(max_order))
+    base = base_groups(max_order)
+    return st.one_of(base, relabelled(base))
+
+
+def search_groups():
+    """Groups of order <= 64 for the End(G) search, also relabelled: cyclic,
+    Q8-Q64, C_a x C_b, Q8 x C_k and Q16 x C2."""
+    base = st.one_of(
+        st.integers(1, 64).map(make_cyclic),
+        st.sampled_from(range(8, 65, 4)).map(make_generalized_quaternion),
+        st.tuples(st.integers(2, 32), st.integers(2, 32))
+        .filter(lambda ab: ab[0] * ab[1] <= 64)
+        .map(lambda ab: direct_product(make_cyclic(ab[0]), make_cyclic(ab[1]))),
+        st.integers(1, 8).map(
+            lambda k: direct_product(make_generalized_quaternion(8), make_cyclic(k))
+        ),
+        st.builds(
+            direct_product, st.just(make_generalized_quaternion(16)), st.just(make_cyclic(2))
+        ),
+    )
+    return st.one_of(base, relabelled(base))
+
+
+def exhaustive_search(g) -> tuple[list[tuple[int, ...]], int]:
+    """End(G) as found by extending every candidate, and the number of candidates.
+
+    The search without orbits: every image of the greedy generators whose
+    order divides its generator's is extended along the right Cayley graph
+    and kept if no edge conflicts.  Returns the sorted image arrays.
+    """
+    t, n = g.table, g.order
+    gens = naive_greedy_generators(t, 0)
+
+    def order(y: int) -> int:
+        k, acc = 1, y
+        while acc != 0:
+            acc, k = t[acc][y], k + 1
+        return k
+
+    def extend(imgs: tuple[int, ...]) -> tuple[int, ...] | None:
+        phi = {0: 0}
+        queue = [0]
+        for x in queue:  # the queue grows while it is walked
+            for s, c in zip(gens, imgs):
+                y, v = t[x][s], t[phi[x]][c]
+                if y not in phi:
+                    phi[y] = v
+                    queue.append(y)
+                elif phi[y] != v:
+                    return None
+        return tuple(phi[x] for x in range(n))
+
+    orders = [order(y) for y in range(n)]
+    candidates = [[y for y in range(n) if orders[s] % orders[y] == 0] for s in gens]
+    found = [phi for phi in map(extend, product(*candidates)) if phi is not None]
+    return sorted(found), prod(map(len, candidates))
 
 
 def naive_composition_table(g, images: list[tuple[int, ...]]):
@@ -123,6 +181,36 @@ def test_enumeration_equals_backtracking(g):
     assert [e.images for e in endos] == sorted(brute_force_endomorphisms(g))
     assert [e.canonical_index for e in endos] == list(range(len(endos)))
     assert all(e.is_automorphism == (len(set(e.images)) == g.order) for e in endos)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(search_groups())
+def test_orbit_search_equals_exhaustive_search(g):
+    endos = enumerate_endomorphisms(g)
+    images, _ = exhaustive_search(g)
+    assert len(endos) == len(images)
+    assert [e.images for e in endos] == images
+    assert [e.canonical_index for e in endos] == list(range(len(images)))
+    assert [e.is_automorphism for e in endos] == [len(set(x)) == g.order for x in images]
+
+
+@pytest.mark.parametrize(
+    "g", [make_generalized_quaternion(64), make_cyclic(128)], ids=repr
+)
+def test_orbit_search_extends_under_a_tenth_of_the_candidates(monkeypatch, g):
+    real = endomorphisms._extend
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(endomorphisms, "_extend", counting)
+    endos = enumerate_endomorphisms(g)
+    images, candidates = exhaustive_search(g)
+    assert [e.images for e in endos] == images
+    assert 0 < len(calls) < candidates / 10
+    assert len(set(calls)) == len(calls)  # no candidate is extended twice
 
 
 @PROPERTY

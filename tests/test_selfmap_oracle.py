@@ -95,6 +95,19 @@ class TestOracleContext:
         for r in range(m):
             assert ctx.naive_degree(r) == naive_power_mod(r, n + 1, m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 10**12), st.data())
+    def test_naive_degree_for_huge_n_matches_pow(self, m, n, data):
+        r = data.draw(st.integers(0, m - 1))
+        assert OracleContext(m=m, n=n).naive_degree(r) == pow(r, n + 1, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 12), st.sampled_from([10**12, -(10**12)]),
+           st.integers(-130, 130), st.data())
+    def test_validity_of_huge_degrees(self, m, n, big, small, data):
+        r, k = data.draw(st.integers(0, m - 1)), big + small
+        assert OracleContext(m=m, n=n).is_valid((r, k)) == (k % m == r ** (n + 1) % m)
+
     def test_validity(self):
         ctx = OracleContext(m=5, n=1)
         assert ctx.is_valid((2, 9))
@@ -117,6 +130,7 @@ class TestOracleContext:
     def test_coset_in_window(self):
         ctx = OracleContext(m=5, n=1)
         assert ctx.coset_in_window(2, 10) == [-6, -1, 4, 9]
+        assert ctx.coset_in_window(2, 5, center=100) == [99, 104]
 
     def test_classes_in_window_trivial_group(self):
         ctx = OracleContext(m=1, n=0)
