@@ -440,8 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # named by its type: a MemoryError has no message
+        print(f"internal error: {type(exc).__name__}{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -6,8 +6,11 @@ the residue r has d(r) = r^{n+1} mod m, and this is built in.  For
 any other group the table must be supplied by the user and is accepted
 only if it satisfies the monoid-homomorphism laws.  Multiplicativity is
 decided exactly on the generator edges d(x o s) = d(x) d(s), with s among
-End(G)'s greedy monoid generators (see :func:`_edges_hold`); the full
-scan of the composition table runs only to name the failures.
+End(G)'s greedy monoid generators (see :func:`_edges_hold`), read off the
+columns of End(G)'s Cayley graph (``endomorphisms.CayleyGraph``) with no
+composition table.  The scan of the table runs only to name the failures,
+and gathers its rows only as far as it reads: :func:`build_degree_hom`
+stops at the first multiplicativity failure.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ import json
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 from .endomorphisms import (
     Endomorphism,
+    cayley_graph,
     composition_table,  # noqa: F401  (perfbench/test_perfbench.py patches it here)
     enumerate_endomorphisms,
     identity_endomorphism,
-    stored_composition_table,
-    stored_monoid_generators,
 )
 from .errors import (
     DTableFormatError,
@@ -86,9 +89,10 @@ class LawFailure:
 
 
 def _edges_hold(
-    comp: tuple[tuple[int, ...], ...], gens: tuple[int, ...], d: tuple[int, ...], m: int
+    gens: tuple[int, ...], columns: tuple[tuple[int, ...], ...], d: tuple[int, ...], m: int
 ) -> bool:
-    """d(x o s) = d(x) d(s) for every x and every s of End(G)'s monoid generators.
+    """d(x o s) = d(x) d(s) for every x and every s of End(G)'s monoid generators,
+    with ``columns[i][x]`` = x o ``gens[i]``.
 
     With d(id) = 1 that is multiplicativity on all pairs: the set of y with
     d(x o y) = d(x) d(y) for all x holds id and is closed under o s, since
@@ -96,51 +100,46 @@ def _edges_hold(
     holds every word in the generators, which is all of End(G).
     """
     return all(
-        d[row[s]] == dx * d[s] % m
-        for s in gens
-        for dx, row in zip(d, comp)
+        d[xs] == dx * d[s] % m
+        for s, col in zip(gens, columns)
+        for dx, xs in zip(d, col)
     )
 
 
-def _law_failures(g: FiniteGroup, d: tuple[int, ...]) -> list[LawFailure]:
+def _law_failures(g: FiniteGroup, d: tuple[int, ...]) -> Iterator[LawFailure]:
+    """The failures in the order identity, multiplicativity (row-major), unit,
+    found as they are read: a row is gathered when the scan reaches it."""
     endos = enumerate_endomorphisms(g)
-    comp = stored_composition_table(g)
+    graph = cayley_graph(g)
     m = g.order
-    failures: list[LawFailure] = []
     ident = identity_endomorphism(g).canonical_index
-    if d[ident] != 1 % m:
-        failures.append(
-            LawFailure(
-                "identity",
-                (ident,),
-                f"d(identity endo {ident}) = {d[ident]}, expected {1 % m}",
-            )
+    bad_identity = d[ident] != 1 % m
+    if bad_identity:
+        yield LawFailure(
+            "identity",
+            (ident,),
+            f"d(identity endo {ident}) = {d[ident]}, expected {1 % m}",
         )
     # the edges decide the law; the full scan runs only to name its failures
-    if failures or not _edges_hold(comp, stored_monoid_generators(g), d, m):
-        for i, row in enumerate(comp):
+    if bad_identity or not _edges_hold(graph.generators, graph.columns, d, m):
+        for i in range(len(endos)):
             di = d[i]
-            for j, c in enumerate(row):
+            for j, c in enumerate(graph.row(i)):
                 if d[c] != di * d[j] % m:
-                    failures.append(
-                        LawFailure(
-                            "multiplicativity",
-                            (i, j),
-                            f"d(endo {i} o endo {j}) = {d[c]} "
-                            f"!= d({i})*d({j}) = {di * d[j] % m} mod {m}",
-                        )
+                    yield LawFailure(
+                        "multiplicativity",
+                        (i, j),
+                        f"d(endo {i} o endo {j}) = {d[c]} "
+                        f"!= d({i})*d({j}) = {di * d[j] % m} mod {m}",
                     )
     for e in endos:
         if e.is_automorphism and gcd(d[e.canonical_index], m) != 1:
-            failures.append(
-                LawFailure(
-                    "unit",
-                    (e.canonical_index,),
-                    f"automorphism {e.canonical_index} maps to non-unit "
-                    f"{d[e.canonical_index]} mod {m}",
-                )
+            yield LawFailure(
+                "unit",
+                (e.canonical_index,),
+                f"automorphism {e.canonical_index} maps to non-unit "
+                f"{d[e.canonical_index]} mod {m}",
             )
-    return failures
 
 
 def build_degree_hom(
@@ -149,7 +148,7 @@ def build_degree_hom(
     """Construct d for (G, n); cyclic groups need no table.
 
     A user table must have exactly the indices of End(G), and is
-    law-checked against the composition table stored with End(G).
+    law-checked against the composition of End(G) kept with ``g``.
     """
     if n < 0:
         raise InvalidDimensionError(f"n must be >= 0, got {n}")
@@ -175,10 +174,11 @@ def build_degree_hom(
             f"(End(G) has 0..{len(endos) - 1})"
         )
     values = tuple(user_table[e.canonical_index] % m for e in endos)
-    failures = _law_failures(g, values)
-    for f in failures:
+    failures = []
+    for f in _law_failures(g, values):  # no row past the first product that fails
         if f.law == "multiplicativity":
             raise NotAHomomorphismError(f.message, witness=(f.witness[0], f.witness[1]))
+        failures.append(f)
     if failures:
         raise InvalidTableError("; ".join(f.message for f in failures))
     return DegreeHom(group=g, n=n, values=values, provenance="user-supplied")

@@ -19,7 +19,7 @@ extension decides a whole orbit: either every candidate in it extends to
 no endomorphism, or the orbit is {a o phi : a in A}.  The loop takes the
 candidates in product order and extends those not yet decided.  A failure
 refuses its orbit, a non-injective phi adds its orbit to End(G), and a new
-automorphism grows A to <A, phi> by the walk that :func:`composition_table`
+automorphism grows A to <A, phi> by the walk that :class:`CayleyGraph`
 uses.  An orbit is walked by A's generators alone, one gather a step.
 Each candidate is decided as extending it would decide it, so End(G), its
 order and its indexing are those of the exhaustive search; Q64 extends 93
@@ -28,17 +28,24 @@ cyclic, and there every candidate extends, so a refused candidate has two
 images or more.
 
 Composition is keyed the same way: a o b is found by its images on S,
-a(b(s)).  The composition table composes that way only the rows of the
-greedy monoid generators T of End(G); every other row is a gather,
-row(x o t)[j] = row(x)[row(t)[j]], along End(G)'s right Cayley graph
-from the identity.  That is |T| |End| |S| lookups plus one gather of
-|End| entries per row, instead of |End|^2 |S| lookups.  T is kept with
-the table, for the checks that decide a property of End(G) on its
-generators: d's multiplicativity, Light's test and commutativity.
+a(b(s)).  :class:`CayleyGraph` walks End(G)'s right Cayley graph from the
+identity as :func:`greedy_generators` walks a table, finding End(G)'s
+greedy monoid generators T.  Each step x -> x o t is one gather of x's
+images at t's generator images and one ``index`` lookup: |End| |T|
+lookups, with no composition table.  The walk keeps each element's parent
+edge (p, t), x = p o t, and the columns x -> x o t, from which d's
+multiplicativity and End(G)'s commutativity are decided.  A row of the
+composition table is gathered only when a caller reads it: row(t) for t
+in T is read off the columns along the walk, and every other row is a
+gather of its parent's, row(p o t)[j] = row(p)[row(t)[j]].  Each row is
+gathered once and kept.  The rows of the units cost no others: x o t invertible makes
+x onto and t one-to-one, so both are invertible, and every walk ancestor
+of a unit is a unit.
 
 End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
-:func:`_enumerate`), with its composition table, computed once.  Two group
-objects share nothing, even when equal, and End(G) is freed with its group.
+:func:`_enumerate`), with its Cayley graph and the rows gathered so far.
+Two group objects share nothing, even when equal, and End(G) is freed
+with its group.
 """
 
 from __future__ import annotations
@@ -113,21 +120,107 @@ def _extend(
 
 @dataclass(eq=False)
 class _EndData:
-    """End(G) in canonical order, indexed by images of the generating set.
-
-    ``monoid_gens`` are End(G)'s greedy monoid generators, recorded by the
-    walk of :func:`composition_table` that builds ``table``.
-    """
+    """End(G) in canonical order, indexed by images of the generating set."""
 
     group: FiniteGroup
     endos: tuple[Endomorphism, ...]
     gens: tuple[int, ...]
     index: dict[tuple[int, ...], int]  # generator images -> canonical index
-    monoid_gens: tuple[int, ...] | None = None
 
     @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return composition_table(self.group)
+    def cayley(self) -> CayleyGraph:
+        return CayleyGraph(self)
+
+
+class CayleyGraph:
+    """End(G)'s right Cayley graph on its greedy monoid generators T, with the
+    rows of the composition table gathered along it on demand.
+
+    ``generators`` is T, ``columns[i][x]`` is x o ``generators[i]``,
+    ``walk_order`` the elements in the order the walk from the identity
+    reached them, and ``rows[x]`` row x of the table, or None until
+    :meth:`row` gathers it.
+    """
+
+    def __init__(self, data: _EndData):
+        images = [e.images for e in data.endos]
+        index = data.index
+        size = len(images)
+        ident = index[data.gens]
+        self.rows: list[tuple[int, ...] | None] = [None] * size
+        self.rows[ident] = tuple(range(size))
+        parents: list[tuple[int, int] | None] = [None] * size  # x = p o t, or None
+        reached = [False] * size
+        reached[ident] = True
+        order = [ident]
+        steps: list[tuple[int, itemgetter, list[int]]] = []  # (t, key getter, column)
+        nxt = 0
+        while len(order) < size:
+            while reached[nxt]:
+                nxt += 1
+            reached[nxt] = True
+            col = [0] * size
+            # x o t has generator images x(t(s)): x's images at t's own
+            key = _tuple_getter(tuple(images[nxt][s] for s in data.gens))
+            steps.append((nxt, key, col))
+            fresh = [nxt]
+            for x in order:  # closed under the earlier generators already
+                col[x] = y = index[key(images[x])]
+                if not reached[y]:
+                    reached[y] = True
+                    parents[y] = (x, nxt)
+                    fresh.append(y)
+            for x in fresh:  # the list grows while it is walked
+                img = images[x]
+                for t, key, col in steps:
+                    col[x] = y = index[key(img)]
+                    if not reached[y]:
+                        reached[y] = True
+                        parents[y] = (x, t)
+                        fresh.append(y)
+            order += fresh
+        self.generators = tuple(t for t, _, _ in steps)
+        self.columns = tuple(tuple(col) for _, _, col in steps)
+        self.walk_order = tuple(order)
+        self._parents = parents
+        self._gathers: dict[int, itemgetter] = {}  # t -> itemgetter(*row(t))
+
+    def row(self, x: int) -> tuple[int, ...]:
+        """Row x, gathered on first use and kept, after its walk ancestors.
+
+        Row t of a generator is read off the columns (:meth:`_generator_row`);
+        every other row is a gather of its parent's,
+        row(p o t)[j] = row(p)[row(t)[j]], since (p o t) o b = p o (t o b).
+        """
+        rows, parents = self.rows, self._parents
+        chain, y = [], x
+        while rows[y] is None:  # up to the nearest gathered ancestor or a generator
+            chain.append(y)
+            if parents[y] is None:
+                break
+            y = parents[y][0]
+        for y in reversed(chain):
+            if parents[y] is None:  # a generator
+                rows[y] = self._generator_row(y)
+            else:
+                p, t = parents[y]
+                if t not in self._gathers:
+                    self._gathers[t] = itemgetter(*self.row(t))
+                rows[y] = self._gathers[t](rows[p])
+        return rows[x]
+
+    def _generator_row(self, t: int) -> tuple[int, ...]:
+        """Row t, entry by entry in walk order: t o (p o u) = (t o p) o u is
+        column u at row(t)[p], and t o u is column u at t for a generator u."""
+        columns = dict(zip(self.generators, self.columns))
+        row = [t] * len(self.rows)  # t o id = t
+        for j in self.walk_order:
+            edge = self._parents[j]
+            if edge is not None:
+                row[j] = columns[edge[1]][row[edge[0]]]
+            elif j in columns:
+                row[j] = columns[j][t]
+        return tuple(row)
 
 
 def _tuple_getter(idx: tuple[int, ...]) -> itemgetter:
@@ -203,7 +296,7 @@ def _enumerate(g: FiniteGroup) -> _EndData:
             refused |= _orbit(agens, imgs)
         elif phi.count(0) > 1:  # a nontrivial kernel
             found.update(_orbit_maps(agens, imgs, phi))
-        else:  # close A to <A, phi>, walked as composition_table walks End(G)
+        else:  # close A to <A, phi>, walked as CayleyGraph walks End(G)
             agens.append(phi)
             steps.append((itemgetter(*phi), _tuple_getter(imgs)))
             gather, key = steps[-1]
@@ -261,61 +354,15 @@ def identity_endomorphism(g: FiniteGroup) -> Endomorphism:
 def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Index-level composition: entry [i][j] is the index of endo_i o endo_j.
 
-    Only the rows of End(G)'s greedy monoid generators are composed image
-    by image; every other row is a gather along the right Cayley graph of
-    End(G), walked as :func:`greedy_generators` walks a table.  The walk
-    records those generators on End(G)'s record, for the readers of the
-    stored table (:func:`stored_monoid_generators`).
+    Every row is gathered, in the walk order of :func:`cayley_graph`, so
+    each row's parent is gathered before it; rows gathered earlier are kept.
     """
-    data = _enumerate(g)
-    endos, gens, index = data.endos, data.gens, data.index
-    size = len(endos)
-    if size == 1:  # trivial group; itemgetter of one index gives no tuple
-        data.monoid_gens = ()
-        return ((0,),)
-    # at_gens[k][j] = endo_j(gens[k]), so a o endo_j has key (a(at_gens[k][j]) for k)
-    at_gens = [tuple(b.images[s] for b in endos) for s in gens]
-    rows: list[tuple[int, ...] | None] = [None] * size
-    ident = index[gens]
-    rows[ident] = tuple(range(size))
-    seen = [ident]
-    steps: list[tuple[int, itemgetter]] = []
-    nxt = 0
-    while len(seen) < size:
-        while rows[nxt] is not None:
-            nxt += 1
-        image = endos[nxt].images.__getitem__
-        rows[nxt] = row = tuple(
-            map(index.__getitem__, zip(*(map(image, col) for col in at_gens)))
-        )
-        # row(x o s)[j] = row(x)[row(s)[j]], as (x o s) o b = x o (s o b)
-        step = itemgetter(*row)
-        steps.append((nxt, step))
-        fresh = [nxt]
-        for x in seen:  # closed under the earlier generators already
-            y = rows[x][nxt]
-            if rows[y] is None:
-                rows[y] = step(rows[x])
-                fresh.append(y)
-        for x in fresh:  # the list grows while it is walked
-            rx = rows[x]
-            for s, step in steps:
-                y = rx[s]
-                if rows[y] is None:
-                    rows[y] = step(rx)
-                    fresh.append(y)
-        seen += fresh
-    data.monoid_gens = tuple(s for s, _ in steps)
-    return tuple(rows)
+    graph = cayley_graph(g)
+    for x in graph.walk_order:
+        graph.row(x)
+    return tuple(graph.rows)
 
 
-def stored_composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """:func:`composition_table` of ``g``, computed on first use and kept with End(G)."""
-    return _enumerate(g).table
-
-
-def stored_monoid_generators(g: FiniteGroup) -> tuple[int, ...]:
-    """``greedy_generators`` of :func:`stored_composition_table` from the identity,
-    as the walk that built that table found them."""
-    stored_composition_table(g)  # the walk that builds it records them
-    return _enumerate(g).monoid_gens
+def cayley_graph(g: FiniteGroup) -> CayleyGraph:
+    """End(G)'s right Cayley graph on its greedy monoid generators, kept with End(G)."""
+    return _enumerate(g).cayley

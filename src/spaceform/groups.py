@@ -90,20 +90,18 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-def is_commutative(
-    table: tuple[tuple[int, ...], ...], ident: int = 0, gens: Sequence[int] | None = None
-) -> bool:
+def is_commutative(table: tuple[tuple[int, ...], ...], ident: int = 0) -> bool:
     """Whether x*y = y*x for every pair, decided on the greedy generators.
 
-    The table must be associative with two-sided identity ``ident``; ``gens``
-    are its ``greedy_generators(table, ident)``, walked here if not given.
-    Row s equal to column s for each generator s suffices: the elements
-    that commute with a given x hold the identity and are closed under the
+    The table must be associative with two-sided identity ``ident``.  Row s
+    equal to column s for each generator s suffices: the elements that
+    commute with a given x hold the identity and are closed under the
     product, so they hold every word in the generators.
     """
-    if gens is None:
-        gens = greedy_generators(table, ident)
-    return all(table[s] == tuple(map(operator.itemgetter(s), table)) for s in gens)
+    return all(
+        table[s] == tuple(map(operator.itemgetter(s), table))
+        for s in greedy_generators(table, ident)
+    )
 
 
 def orders_in(table: tuple[tuple[int, ...], ...], ident: int) -> tuple[int, ...]:

@@ -16,10 +16,10 @@ from typing import Iterator
 from .degree import DegreeHom, build_degree_hom
 from .endomorphisms import (
     Endomorphism,
+    cayley_graph,
+    composition_table,
     enumerate_endomorphisms,
     identity_endomorphism,
-    stored_composition_table,
-    stored_monoid_generators,
 )
 from .errors import DomainMismatchError, NotRealizableError
 from .groups import (
@@ -54,15 +54,22 @@ class MonoidContext:
     """Everything needed to do arithmetic in M(G, n)."""
 
     def __init__(self, dhom: DegreeHom, comp: tuple[tuple[int, ...], ...] | None = None):
-        """``comp`` replaces the stored composition table (tests corrupt it)."""
+        """``comp`` replaces End(G)'s composition (tests corrupt it).
+
+        Without it, ``_comp`` holds the rows of End(G)'s table gathered so
+        far, None for the others, and each is gathered when first read.
+        """
         self.group = group = dhom.group
         self.n = dhom.n
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
         if comp is None:
-            self._comp = stored_composition_table(group)
-            self.generators = stored_monoid_generators(group)
+            self._cayley = graph = cayley_graph(group)
+            self._comp = graph.rows
+            self.generators = graph.generators
+            self._columns = graph.columns
         else:
+            self._cayley = None
             self._comp = comp
         self._d = dhom.values
         self._order = group.order
@@ -80,6 +87,16 @@ class MonoidContext:
         endomorphism is a left identity of ``comp``.
         """
         return tuple(greedy_generators(self._comp, self.identity_index))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """x -> x o t for each generator t, read off an injected ``comp``; the
+        stored table's come with End(G)'s Cayley graph."""
+        return tuple(tuple(row[t] for row in self._comp) for t in self.generators)
+
+    def _row(self, a: int) -> tuple[int, ...]:
+        """Row a of the composition table, gathered if it was not yet."""
+        return self._comp[a] or self._cayley.row(a)
 
     # -- element construction and arithmetic --
 
@@ -125,9 +142,21 @@ class MonoidContext:
             ya, yk = y
             if xa >= 0 <= ya and xk % m == d[xa] and yk % m == d[ya]:
                 return self._comp[xa][ya], xk * yk
-        except (IndexError, TypeError, ValueError):  # not a pair of ints of this context
-            pass
+        except (IndexError, TypeError, ValueError):  # not a pair of ints of this context,
+            if self._gathered(x):  # or row xa not gathered yet: None[ya] is a TypeError
+                return MonoidContext.multiply(self, x, y)  # once more, not via a wrapper
         raise DomainMismatchError("operand is not a valid element of this monoid context")
+
+    def _gathered(self, x) -> bool:
+        """Whether x's endomorphism had a row still to gather, now gathered."""
+        try:
+            xa = x[0]
+            if not (xa >= 0 and self._comp[xa] is None):
+                return False
+        except (IndexError, KeyError, TypeError):
+            return False
+        self._cayley.row(xa)
+        return True
 
     # -- global structure --
 
@@ -147,17 +176,21 @@ class MonoidContext:
         ]
         elems.sort()
         pos = {x: i for i, x in enumerate(elems)}
-        # units are elements, so each product is read off End(G)'s row of alpha
-        rows = [(self._comp[a], k) for a, k in elems]
+        # units are elements, so each product is read off End(G)'s row of alpha;
+        # only the units' rows are gathered, as every walk ancestor of a unit is one
+        rows = [(self._row(a), k) for a, k in elems]
         table = tuple(tuple(pos[row[b], k * l] for b, l in elems) for row, k in rows)
         return EquivalenceGroup(elements=tuple(elems), table=table)
 
     def is_abelian(self) -> bool:
         """M(G, n) is abelian iff End(G) commutes (degrees always commute).
 
-        Decided on End(G)'s monoid generators, so ``comp`` must be associative.
+        A monoid commutes when its generators commute pairwise, so only
+        t o u = u o t is checked, read off the columns; ``comp`` must be
+        associative.
         """
-        return is_commutative(self._comp, gens=self.generators)
+        cols = dict(zip(self.generators, self._columns))  # cols[u][t] = t o u
+        return all(cols[u][t] == cols[t][u] for t in cols for u in cols if u < t)
 
     def realizable_degrees(self) -> set[int]:
         """{ d(alpha) : alpha in End(G) } as least non-negative residues mod |G|."""
@@ -200,9 +233,10 @@ def monoid_axioms(ctx: MonoidContext) -> str | None:
     M(G, n) is not tested here: it is multiplicativity of d, which
     ``validate_degree_hom`` decides.
     """
-    comp, ident, d, m = ctx._comp, ctx.identity_index, ctx._d, ctx._order
+    ident, d, m = ctx.identity_index, ctx._d, ctx._order
     if d[ident] != 1 % m:
         return f"(id, 1) is not an element: d(identity endo {ident}) = {d[ident]} mod {m}"
+    comp = ctx._comp if ctx._cayley is None else composition_table(ctx.group)
     for x, (left, row) in enumerate(zip(comp[ident], comp)):
         if left != x:
             return f"identity endo {ident} o endo {x} = endo {left}"

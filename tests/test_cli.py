@@ -13,6 +13,7 @@ import spaceform
 from spaceform import monoid_odd
 from spaceform.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
     MAX_WINDOW,
@@ -22,7 +23,7 @@ from spaceform.cli import (
     render_json,
 )
 from spaceform.degree import _law_failures as law_failures
-from spaceform.endomorphisms import stored_composition_table
+from spaceform.endomorphisms import composition_table
 from spaceform.errors import GroupSpecError, InputError
 from spaceform.monoid_odd import MonoidContext
 from tests.test_groups import NONASSOC_5
@@ -451,11 +452,11 @@ class TestCheckCommand:
 
     def test_a_non_associative_table_is_named(self, capsys, monkeypatch):
         def corrupted(g):  # C_4: 0 o 0 -> 2 keeps d(0) = d(2) = 0
-            comp = [list(row) for row in stored_composition_table(g)]
+            comp = [list(row) for row in composition_table(g)]
             comp[0][0] = 2
             return tuple(map(tuple, comp))
 
-        monkeypatch.setattr(monoid_odd, "stored_composition_table", corrupted)
+        monkeypatch.setattr(monoid_odd, "composition_table", corrupted)
         code, out, _ = run(capsys, "check", "--group", "cyclic:4", "--n", "1", "--format", "json")
         assert code == EXIT_VALIDATION
         rows = json.loads(out)["rows"]
@@ -596,6 +597,22 @@ class TestInfrastructure:
         run(capsys, "even", "--n", "1")
         monkeypatch.setattr("spaceform.cli.cmd_even", lambda args: 7)
         assert main(["even", "--n", "1"]) == 7
+
+    @pytest.mark.parametrize(
+        "exc, text",
+        [
+            (MemoryError(), "internal error: MemoryError\n"),  # no message of its own
+            (KeyError(3), "internal error: KeyError: 3\n"),
+        ],
+        ids=["MemoryError", "KeyError"],
+    )
+    def test_an_internal_error_is_named_by_its_type(self, capsys, monkeypatch, exc, text):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr("spaceform.cli.cmd_monoid", failing)
+        code, out, err = run(capsys, "monoid", "--group", "cyclic:5", "--n", "1")
+        assert (code, out, err) == (EXIT_INTERNAL, "", text)
 
     def test_window_is_refused_where_it_is_not_read(self, capsys):
         with pytest.raises(SystemExit) as exc:

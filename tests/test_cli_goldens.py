@@ -18,15 +18,17 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from spaceform import cli
 from spaceform.groups import direct_product, make_cyclic, make_generalized_quaternion
+from tests.test_end_properties import count_composition_tables
 
 # |End(Q_4k)|, so that an all-ones d-table has exactly End's indices
-QUATERNION_ENDS = {8: 28, 16: 36, 32: 132}
+QUATERNION_ENDS = {8: 28, 16: 36, 32: 132, 128: 2052}
 
 
 def relabelled(g) -> dict:
@@ -83,6 +85,8 @@ GOLDENS = {
         (0, "c408e84da2f6ef03", EMPTY),
     "monoid --group quaternion:32 --n 2 --d-table {q32_ones_n2} --format md":
         (0, "f8b85bf2369df2e9", EMPTY),
+    "monoid --group quaternion:128 --n 1 --d-table {q128_ones_n1} --format json":
+        (0, "cb0bcbd962debce2", EMPTY),
     "monoid --group table:{c6_relabelled} --n 1 --format json": (0, "11f1753c0a65fcec", EMPTY),
     "monoid --group table:{q8_relabelled} --n 1 --d-table {q8_ones_n1} --format csv":
         (0, "bd17a4bcfcc2f241", EMPTY),
@@ -163,6 +167,22 @@ def paths(tmp_path_factory):
 @pytest.mark.parametrize("command", GOLDENS)
 def test_output_is_unchanged(command, paths):
     assert outcome(command, paths) == GOLDENS[command]
+
+
+def test_q128_monoid_reads_only_the_rows_it_shows(monkeypatch, paths):
+    """The 10 x 10 product table of |End(Q128)| = 2052 gathers 10 rows and
+    their ancestors, not the whole table (41 MB of peak before)."""
+    tables = count_composition_tables(monkeypatch)
+    command = "monoid --group quaternion:128 --n 1 --d-table {q128_ones_n1} --format json"
+    tracemalloc.start()
+    try:
+        code, _, _ = outcome(command, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert tables == []
+    assert peak < 16 * 2**20
 
 
 def test_the_goldens_cover_every_subcommand_format_and_exit_code():

@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd, prod
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spaceform import (
@@ -138,9 +138,12 @@ def exhaustive_search(g) -> tuple[list[tuple[int, ...]] | None, int]:
 def naive_composition_table(g, images: list[tuple[int, ...]]):
     """Compose full image arrays and look the result up by its whole array."""
     lookup = {a: i for i, a in enumerate(images)}
-    return tuple(
-        tuple(lookup[tuple(map(a.__getitem__, b))] for b in images) for a in images
-    )
+    return tuple(naive_row(images, lookup, a) for a in images)
+
+
+def naive_row(images: list[tuple[int, ...]], lookup: dict, a: tuple[int, ...]):
+    """Row a of :func:`naive_composition_table`, ``lookup`` its index of ``images``."""
+    return tuple(lookup[tuple(map(a.__getitem__, b))] for b in images)
 
 
 def naive_law_failures(
@@ -391,10 +394,10 @@ def test_greedy_generators_equal_naive_closure(g, data):
 @PROPERTY
 @given(groups(24))
 def test_the_table_walk_records_the_greedy_monoid_generators(g):
-    comp = endomorphisms.stored_composition_table(g)
+    comp = endomorphisms.composition_table(g)
     ident = endomorphisms.identity_endomorphism(g).canonical_index
     gens = tuple(greedy_generators(comp, ident))
-    assert endomorphisms.stored_monoid_generators(g) == gens
+    assert endomorphisms.cayley_graph(g).generators == gens
     assert monoid_context(g, 1, {i: 1 for i in range(len(comp))}).generators == gens
 
 
@@ -420,7 +423,71 @@ def test_composition_table_on_hard_shapes(monkeypatch, g, end_gens):
     gens = greedy_generators(comp, ident)
     assert len(gens) == end_gens
     assert gens == naive_greedy_generators(comp, ident)
-    assert endomorphisms.stored_monoid_generators(g) == tuple(gens)
+    assert endomorphisms.cayley_graph(g).generators == tuple(gens)
+
+
+def searched(g) -> list:
+    """End(G) of a drawn group; a draw whose search is refused is rejected
+    (a relabelling can make the greedy generators many, as on some tables
+    of C8 x C8 or Q64)."""
+    try:
+        return enumerate_endomorphisms(g)
+    except SizeCapError:
+        assume(False)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(search_groups(), st.data())
+def test_rows_gathered_on_demand_equal_full_image_composition(g, data):
+    """Rows touched through ``multiply`` in a drawn order, each gathered with
+    whatever ancestors it needs, equal the rows of the naive table."""
+    endos = searched(g)
+    images = [e.images for e in endos]
+    lookup = {a: i for i, a in enumerate(images)}
+    ctx = monoid_context(g, 1, dict.fromkeys(range(len(endos)), 1))  # lawful on every G
+    index = st.integers(0, len(endos) - 1)
+    touched = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=12))
+    for x, y in touched:
+        assert ctx.multiply((x, 1), (y, 1)) == (lookup[tuple(map(images[x].__getitem__,
+                                                                 images[y]))], 1)
+    rows = endomorphisms.cayley_graph(g).rows
+    assert all(rows[x] is not None for x, _ in touched)
+    for x, row in enumerate(rows):
+        assert row is None or row == naive_row(images, lookup, images[x])
+
+
+@settings(PROPERTY, max_examples=20)
+@given(search_groups())
+def test_stored_columns_equal_full_image_composition(g):
+    images = [e.images for e in searched(g)]
+    lookup = {a: i for i, a in enumerate(images)}
+    graph = endomorphisms.cayley_graph(g)
+    assert graph.columns == tuple(
+        tuple(lookup[tuple(map(x.__getitem__, images[t]))] for x in images)
+        for t in graph.generators
+    )
+
+
+@settings(PROPERTY, max_examples=30)
+@given(search_groups(), st.data())
+def test_rejection_names_the_first_failure_of_the_full_scan(g, data):
+    """A one-entry-corrupted d-table is refused, its rows gathered on demand,
+    at the first multiplicativity failure that ``validate_degree_hom`` names."""
+    endos = searched(g)
+    assume(g.order > 1 and len(endos) <= 600)  # the full scan makes |End|^2 products
+    values = list(data.draw(st.sampled_from(lawful_dtables(g))))
+    i = data.draw(st.integers(0, len(values) - 1))
+    values[i] = data.draw(st.integers(0, g.order - 1).filter(lambda v: v != values[i]))
+    try:
+        build_degree_hom(g, 1, dict(enumerate(values)))
+        witness = None
+    except NotAHomomorphismError as exc:
+        witness = exc.witness
+    except InvalidTableError:
+        witness = None
+    failures = validate_degree_hom(DegreeHom(g, 1, tuple(values), "user-supplied"))
+    first = next((f.witness for f in failures if f.law == "multiplicativity"), None)
+    assert witness == first
 
 
 def count_composition_tables(monkeypatch) -> list:
@@ -438,6 +505,11 @@ def count_composition_tables(monkeypatch) -> list:
     return calls
 
 
+def gathered(g) -> list[int]:
+    """The rows of End(G)'s composition table gathered so far."""
+    return [i for i, row in enumerate(endomorphisms.cayley_graph(g).rows) if row is not None]
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -447,27 +519,59 @@ def count_composition_tables(monkeypatch) -> list:
     ],
     ids=repr,
 )
-def test_dtable_context_computes_composition_table_once(monkeypatch, g):
+def test_dtable_context_builds_no_composition_table(monkeypatch, g):
     calls = count_composition_tables(monkeypatch)
     size = len(enumerate_endomorphisms(g))
     ctx = monoid_context(g, 1, {i: 1 for i in range(size)})
-    assert len(calls) == 1
+    assert calls == []
+    assert gathered(g) == [ctx.identity_index]  # the law is decided on the columns
     assert ctx.multiply(ctx.identity(), ctx.identity()) == ctx.identity()
-    assert len(calls) == 1
+    assert calls == []
 
 
-def test_rejected_dtable_computes_composition_table_once(monkeypatch):
-    g = make_cyclic(6)
+Q32_SEED_1 = dict.fromkeys(range(132), 1) | {3: 5}  # the build workload's, seed 1
+
+
+@pytest.mark.parametrize(
+    "g, table",
+    [
+        (make_cyclic(6), {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1}),
+        (make_generalized_quaternion(32), Q32_SEED_1),
+    ],
+    ids=["C6", "Q32"],
+)
+def test_rejected_dtable_gathers_no_row_after_its_witness(monkeypatch, g, table):
     calls = count_composition_tables(monkeypatch)
-    with pytest.raises(NotAHomomorphismError):
-        monoid_context(g, 1, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1})
-    assert len(calls) == 1
+    with pytest.raises(NotAHomomorphismError) as exc:
+        monoid_context(g, 1, table)
+    assert calls == []
+    row = exc.value.witness[0]
+    ident = endomorphisms.identity_endomorphism(g).canonical_index
+    assert row in gathered(g)
+    assert all(i <= row for i in gathered(g) if i != ident)  # the identity's comes free
 
 
-def test_builtin_context_computes_composition_table_once(monkeypatch):
+@pytest.mark.parametrize(
+    "g, table",
+    [
+        (make_cyclic(12), None),
+        (make_generalized_quaternion(16), dict.fromkeys(range(36), 1)),
+        (direct_product(make_cyclic(4), make_cyclic(8)), dict.fromkeys(range(512), 1)),
+    ],
+    ids=repr,
+)
+def test_the_unit_group_gathers_only_unit_rows(g, table):
+    """Every walk ancestor of a unit is a unit, so no other row is gathered."""
+    ctx = monoid_context(g, 1, table)
+    ctx.equivalence_group()
+    assert gathered(g) == [e.canonical_index for e in ctx.endos if e.is_automorphism]
+
+
+def test_builtin_context_builds_no_composition_table(monkeypatch):
     calls = count_composition_tables(monkeypatch)
-    monoid_context(make_cyclic(9), 2)
-    assert len(calls) == 1
+    ctx = monoid_context(make_cyclic(9), 2)
+    assert calls == []
+    assert gathered(ctx.group) == [ctx.identity_index]
 
 
 def count_end_searches(monkeypatch) -> list:
@@ -483,14 +587,31 @@ def count_end_searches(monkeypatch) -> list:
     return calls
 
 
-def test_one_group_computes_end_and_its_table_once(monkeypatch):
+class LoggedRows(list):
+    """A row list that logs the index of every row written into it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.log: list[int] = []
+
+    def __setitem__(self, i, row):
+        self.log.append(i)
+        super().__setitem__(i, row)
+
+
+def test_one_group_searches_end_once_and_gathers_each_row_once(monkeypatch):
     g = make_cyclic(10)
     tables = count_composition_tables(monkeypatch)
     searches = count_end_searches(monkeypatch)
+    graph = endomorphisms.cayley_graph(g)
+    monkeypatch.setattr(graph, "rows", LoggedRows(graph.rows))
     contexts = [monoid_context(g, 1), monoid_context(g, 2)]
     assert not validate_degree_hom(contexts[1].dhom)
-    assert cross_check(g, 2, 12).passed
-    assert len(tables) == 1
+    assert graph.rows.log == []  # the law holds on the columns
+    assert cross_check(g, 2, 12).passed  # multiplies every pair
+    ident = contexts[0].identity_index
+    assert sorted(graph.rows.log) == [i for i in range(len(graph.rows)) if i != ident]
+    assert tables == []
     assert len(searches) == 1
 
 

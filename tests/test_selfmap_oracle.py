@@ -77,7 +77,7 @@ def corrupted_context(m, n, a, b, shift):
     g = make_cyclic(m)
     z, log = _discrete_log(g.table)
     index = {log[e.images[z]]: e.canonical_index for e in endomorphisms.enumerate_endomorphisms(g)}
-    comp = [list(row) for row in endomorphisms.stored_composition_table(g)]
+    comp = [list(row) for row in endomorphisms.composition_table(g)]
     i, j = index[a], index[b]
     comp[i][j] = (comp[i][j] + shift) % m
     return MonoidContext(monoid_context(g, n).dhom, comp)
@@ -220,7 +220,7 @@ class TestCrossCheck:
 
     def test_a_wrong_product_is_reported_at_the_first_mismatch(self):
         g = make_cyclic(6)
-        comp = [list(row) for row in endomorphisms.stored_composition_table(g)]
+        comp = [list(row) for row in endomorphisms.composition_table(g)]
         comp[2][3] = (comp[2][3] + 1) % 6
         report = cross_check(MonoidContext(monoid_context(g, 1).dhom, comp), 1, 12)
         assert report.to_json() == {

@@ -11,12 +11,15 @@
   is d(id) = 1 and every triple of the table, and each witness it
   returns is checked against the table.
 - ``groups.is_commutative`` compares row and column only for the greedy
-  generators; the reference compares every pair, on group tables, End(G)
-  tables and unit-group tables.
+  generators, and ``MonoidContext.is_abelian`` only End(G)'s monoid
+  generators, pairwise, off the columns of its Cayley graph; the
+  reference compares every pair, on group tables, End(G) tables and
+  unit-group tables.
 - ``groups._check_table`` scans the columns only to name a failure; the
   reference is the full check, on tables whose rows permute but whose
   columns need not.
 - ``MonoidContext.equivalence_group`` reads products off End(G)'s rows,
+  gathering the units' rows alone,
   ``make_cyclic`` builds its rows as slices and ``degree.endo_residue``
   reads a stored discrete log; the references are ``multiply``,
   (i + j) mod m and the walk z, z^2, ... to the image of z.
@@ -44,7 +47,7 @@ from spaceform import (
     monoid_context,
 )
 from spaceform.degree import DegreeHom, endo_residue, validate_degree_hom
-from spaceform.endomorphisms import composition_table, stored_composition_table
+from spaceform.endomorphisms import composition_table
 from spaceform.errors import NotAGroupError, StructureError
 from spaceform.groups import _check_table, greedy_generators, is_commutative
 from spaceform.monoid_odd import MonoidContext, monoid_axioms
@@ -358,7 +361,7 @@ class TestAxiomSuite:
         # Q32 with d = 1 and 54 o 9 -> 22: every product stays valid, and the
         # 10 000 sampled triples that decided this before met no failure
         q32 = make_generalized_quaternion(32)
-        comp = [list(row) for row in stored_composition_table(q32)]
+        comp = [list(row) for row in composition_table(q32)]
         comp[54][9] = 22
         dhom = build_degree_hom(q32, 1, {i: 1 for i in range(len(comp))})
         ctx = MonoidContext(dhom, tuple(map(tuple, comp)))
@@ -415,7 +418,7 @@ def commutes_pairwise(table) -> bool:
 def ones_context(g, n: int):
     """M(G, n) with the built-in d for a cyclic G, else d = 1."""
     table = None if g.cyclic_generator is not None else {
-        i: 1 for i in range(len(stored_composition_table(g)))
+        i: 1 for i in range(len(composition_table(g)))
     }
     return monoid_context(g, n, table)
 
@@ -426,7 +429,7 @@ class TestCommutativity:
     def test_same_answer_as_every_pair(self, g, n):
         assert is_commutative(g.table) == commutes_pairwise(g.table)
         ctx = ones_context(g, n)
-        assert ctx.is_abelian() == commutes_pairwise(ctx._comp)
+        assert ctx.is_abelian() == commutes_pairwise(composition_table(g))
         eg = ctx.equivalence_group()
         assert eg.is_abelian() == commutes_pairwise(eg.table)
 
@@ -509,7 +512,7 @@ def test_endo_residue_equals_the_walk_on_relabelled_cyclic_tables(m, rng):
 def test_an_injected_table_is_walked_for_its_own_generators():
     # C_4 with 0 o 0 -> 2: End(C_4)'s generators are 0, 2, 3; this table's 0, 3
     g = make_cyclic(4)
-    comp = [list(row) for row in stored_composition_table(g)]
+    comp = [list(row) for row in composition_table(g)]
     comp[0][0] = 2
     ctx = MonoidContext(build_degree_hom(g, 1), tuple(map(tuple, comp)))
     assert monoid_context(g, 1).generators == (0, 2, 3)
