@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: monoid | equiv | even | degrees | check | census.
-Exit codes: 0 success, 1 input error, 2 validation failure,
-3 internal invariant breach.
+Exit codes: 0 success, 1 input error, 2 validation failure or a command
+line argparse refuses (with a usage line), 3 internal invariant breach.
 """
 
 from __future__ import annotations

@@ -213,5 +213,8 @@ def dtable_from_json(data: dict) -> tuple[int | None, dict[int, int]]:
 
 
 def load_dtable(path: str | Path) -> tuple[int | None, dict[int, int]]:
-    with open(path) as fh:
-        return dtable_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return dtable_from_json(json.load(fh))
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise DTableFormatError("d-table file is nested too deeply to read") from None

@@ -7,10 +7,10 @@ rows that permute, a two-sided identity (relabelled to index 0 when it
 sits elsewhere) and associativity.  The columns then permute too: a
 finite monoid whose left multiplications are bijections is a group, so
 they are scanned only to name the failure of a table that is none.  So
-any :class:`FiniteGroup` in circulation is a genuine group.  G's table,
-End(G)'s composition table and the units E(G, n) share one routine per
-table property: :func:`is_commutative`, :func:`orders_in` (relative to a
-given identity), :func:`identity_row` and :func:`first_nonassociative`.
+any :class:`FiniteGroup` in circulation is a genuine group.  G's table and
+the units E(G, n) share :func:`orders_in` and :func:`identity_row`; G's
+table and End(G)'s composition table share Light's test below; the units
+alone use :func:`is_commutative` (End(G)'s Cayley graph decides its own).
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
@@ -366,5 +366,8 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    with open(path) as fh:
-        return group_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return group_from_json(json.load(fh))
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise StructureError("group file is nested too deeply to read") from None

@@ -10,7 +10,6 @@ integers are distinct homotopy classes and the monoid is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .degree import DegreeHom, build_degree_hom
@@ -51,26 +50,20 @@ class EquivalenceGroup:
 
 
 class MonoidContext:
-    """Everything needed to do arithmetic in M(G, n)."""
+    """Everything needed to do arithmetic in M(G, n).
 
-    def __init__(self, dhom: DegreeHom, comp: tuple[tuple[int, ...], ...] | None = None):
-        """``comp`` replaces End(G)'s composition (tests corrupt it).
+    Products are read off the rows of End(G)'s composition table kept with
+    its Cayley graph on the group (``cayley_graph``), each gathered when
+    first read.
+    """
 
-        Without it, ``_comp`` holds the rows of End(G)'s table gathered so
-        far, None for the others, and each is gathered when first read.
-        """
+    def __init__(self, dhom: DegreeHom):
         self.group = group = dhom.group
         self.n = dhom.n
         self.dhom = dhom
         self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
-        if comp is None:
-            self._cayley = graph = cayley_graph(group)
-            self._comp = graph.rows
-            self.generators = graph.generators
-            self._columns = graph.columns
-        else:
-            self._cayley = None
-            self._comp = comp
+        self._cayley = cayley_graph(group)
+        self._rows = self._cayley.rows
         self._d = dhom.values
         self._order = group.order
         self._size = len(self.endos)
@@ -78,25 +71,6 @@ class MonoidContext:
 
     def __repr__(self) -> str:
         return f"MonoidContext({self.group!r}, n={self.n})"
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """``greedy_generators`` of an injected ``comp``, walked on first use.
-
-        The stored table's come with it.  The walk ends only if the identity
-        endomorphism is a left identity of ``comp``.
-        """
-        return tuple(greedy_generators(self._comp, self.identity_index))
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """x -> x o t for each generator t, read off an injected ``comp``; the
-        stored table's come with End(G)'s Cayley graph."""
-        return tuple(tuple(row[t] for row in self._comp) for t in self.generators)
-
-    def _row(self, a: int) -> tuple[int, ...]:
-        """Row a of the composition table, gathered if it was not yet."""
-        return self._comp[a] or self._cayley.row(a)
 
     # -- element construction and arithmetic --
 
@@ -134,29 +108,17 @@ class MonoidContext:
         operand that is no element of this context raises DomainMismatchError.
         """
         # hot path, validity checks inlined: a negative index is refused here
-        # (it would wrap round), one >= |End| fails at d[...] with IndexError;
-        # the try costs nothing until it raises
+        # (it would wrap round), one >= |End| fails at d[...] with IndexError
+        # before its row is gathered; the try costs nothing until it raises
         m, d = self._order, self._d
         try:
             xa, xk = x
             ya, yk = y
             if xa >= 0 <= ya and xk % m == d[xa] and yk % m == d[ya]:
-                return self._comp[xa][ya], xk * yk
-        except (IndexError, TypeError, ValueError):  # not a pair of ints of this context,
-            if self._gathered(x):  # or row xa not gathered yet: None[ya] is a TypeError
-                return MonoidContext.multiply(self, x, y)  # once more, not via a wrapper
+                return (self._rows[xa] or self._cayley.row(xa))[ya], xk * yk
+        except (IndexError, TypeError, ValueError):  # not a pair of ints of this context
+            pass
         raise DomainMismatchError("operand is not a valid element of this monoid context")
-
-    def _gathered(self, x) -> bool:
-        """Whether x's endomorphism had a row still to gather, now gathered."""
-        try:
-            xa = x[0]
-            if not (xa >= 0 and self._comp[xa] is None):
-                return False
-        except (IndexError, KeyError, TypeError):
-            return False
-        self._cayley.row(xa)
-        return True
 
     # -- global structure --
 
@@ -178,7 +140,7 @@ class MonoidContext:
         pos = {x: i for i, x in enumerate(elems)}
         # units are elements, so each product is read off End(G)'s row of alpha;
         # only the units' rows are gathered, as every walk ancestor of a unit is one
-        rows = [(self._row(a), k) for a, k in elems]
+        rows = [(self._cayley.row(a), k) for a, k in elems]
         table = tuple(tuple(pos[row[b], k * l] for b, l in elems) for row, k in rows)
         return EquivalenceGroup(elements=tuple(elems), table=table)
 
@@ -186,10 +148,10 @@ class MonoidContext:
         """M(G, n) is abelian iff End(G) commutes (degrees always commute).
 
         A monoid commutes when its generators commute pairwise, so only
-        t o u = u o t is checked, read off the columns; ``comp`` must be
-        associative.
+        t o u = u o t is checked, read off the Cayley graph's columns.
         """
-        cols = dict(zip(self.generators, self._columns))  # cols[u][t] = t o u
+        graph = self._cayley
+        cols = dict(zip(graph.generators, graph.columns))  # cols[u][t] = t o u
         return all(cols[u][t] == cols[t][u] for t in cols for u in cols if u < t)
 
     def realizable_degrees(self) -> set[int]:
@@ -225,24 +187,23 @@ def monoid_axioms(ctx: MonoidContext) -> str | None:
     """None if M(G, n) is a monoid with identity (id, 1), else a witness.
 
     Degrees multiply as integers, so that holds exactly when (id, 1) is an
-    element and End(G)'s composition table is associative with two-sided
-    identity id; no element is built or multiplied.  The identity comes
-    first: Light's test (``groups`` docstring) grows its generators from
-    id, which must be a left identity for that walk to end.  O(|End|) for
-    the identity and O(|gens| |End|^2) for Light's test.  Closure of
-    M(G, n) is not tested here: it is multiplicativity of d, which
-    ``validate_degree_hom`` decides.
+    element and ``composition_table(ctx.group)`` is associative with
+    two-sided identity id; no element is built or multiplied.  The identity
+    comes first, then Light's test (``groups`` docstring) on the table's own
+    greedy generators from id, as in ``groups._check_table``: exact on any
+    table with a left identity.  O(|gens| |End|^2).  Closure of M(G, n) is
+    multiplicativity of d, which ``validate_degree_hom`` decides.
     """
     ident, d, m = ctx.identity_index, ctx._d, ctx._order
     if d[ident] != 1 % m:
         return f"(id, 1) is not an element: d(identity endo {ident}) = {d[ident]} mod {m}"
-    comp = ctx._comp if ctx._cayley is None else composition_table(ctx.group)
+    comp = composition_table(ctx.group)
     for x, (left, row) in enumerate(zip(comp[ident], comp)):
         if left != x:
             return f"identity endo {ident} o endo {x} = endo {left}"
         if row[ident] != x:
             return f"endo {x} o identity endo {ident} = endo {row[ident]}"
-    triple = first_nonassociative(comp, ctx.generators)
+    triple = first_nonassociative(comp, greedy_generators(comp, ident))
     if triple is None:
         return None
     x, y, z = triple

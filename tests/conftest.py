@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from spaceform import make_cyclic, make_generalized_quaternion
+from spaceform.endomorphisms import cayley_graph
+from spaceform.groups import FiniteGroup
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +17,18 @@ def q8():
 @pytest.fixture(scope="session")
 def c12():
     return make_cyclic(12)
+
+
+def with_composition(g, comp) -> FiniteGroup:
+    """A fresh copy of ``g`` whose End(G) composition table reads ``comp``.
+
+    The rows are written into the copy's Cayley graph, the one place a
+    context reads products from, so that ``g``, which may be shared with
+    other tests, keeps its own.
+    """
+    h = FiniteGroup(g.order, g.table, g.name)
+    cayley_graph(h).rows[:] = map(tuple, comp)
+    return h
 
 
 def brute_force_endomorphisms(g) -> set[tuple[int, ...]]:

@@ -622,6 +622,25 @@ class TestInfrastructure:
         assert captured.out == ""
         assert captured.err.endswith("error: unrecognized arguments: --window 5\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["monoid", "--group", "cyclic:5", "--n", "one"], "argument --n: invalid int value"),
+            (["equiv", "--group", "cyclic:5", "--n", "1", "--format", "xml"],
+             "argument --format: invalid choice"),
+            (["monoids", "--group", "cyclic:5", "--n", "1"], "argument command: invalid choice"),
+        ],
+        ids=["non-integer-n", "unknown-format", "unknown-subcommand"],
+    )
+    def test_a_refused_command_line_exits_2_with_a_usage_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert message in captured.err
+
     def test_json_round_trips_byte_identical(self, capsys):
         _, out, _ = run(
             capsys, "equiv", "--group", "cyclic:12", "--n", "2", "--format", "json"
@@ -770,6 +789,25 @@ class TestInfrastructure:
         assert code == EXIT_INPUT
         assert out == ""
         assert "d-table" in err
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--group", "[" * 100_000 + "]" * 100_000),
+            ("--d-table", "[" * 100_000 + "]" * 100_000),
+            ("--d-table", '{"n": 1, "values": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        ],
+        ids=["group", "d-table", "d-table-values"],
+    )
+    def test_a_deeply_nested_json_file_exits_1(self, capsys, tmp_path, flag, text):
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        argv = ["--group", "quaternion:8", "--d-table", str(path)]
+        if flag == "--group":
+            argv = ["--group", f"table:{path}"]
+        code, out, err = run(capsys, "check", *argv, "--n", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("input error: ") and "nested too deeply" in err
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_order_cap_is_input_error(self, capsys, monkeypatch, raw):

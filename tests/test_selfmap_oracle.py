@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spaceform import (
-    MonoidContext,
     OracleContext,
     compose_selfmaps,
     cross_check,
@@ -26,7 +25,7 @@ from spaceform.errors import (
     UnsupportedGroupError,
 )
 from spaceform.selfmap_oracle import CrossCheckReport, _discrete_log
-from tests.conftest import naive_power_mod
+from tests.conftest import naive_power_mod, with_composition
 
 
 def reference_cross_check(ctx, n, window):
@@ -80,7 +79,7 @@ def corrupted_context(m, n, a, b, shift):
     comp = [list(row) for row in endomorphisms.composition_table(g)]
     i, j = index[a], index[b]
     comp[i][j] = (comp[i][j] + shift) % m
-    return MonoidContext(monoid_context(g, n).dhom, comp)
+    return monoid_context(with_composition(g, comp), n)
 
 
 class TestOracleContext:
@@ -222,7 +221,7 @@ class TestCrossCheck:
         g = make_cyclic(6)
         comp = [list(row) for row in endomorphisms.composition_table(g)]
         comp[2][3] = (comp[2][3] + 1) % 6
-        report = cross_check(MonoidContext(monoid_context(g, 1).dhom, comp), 1, 12)
+        report = cross_check(monoid_context(with_composition(g, comp), 1), 1, 12)
         assert report.to_json() == {
             "m": 6,
             "n": 1,

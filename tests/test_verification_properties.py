@@ -6,10 +6,13 @@
 - ``check`` decides closure of the window |k| <= 3|G| + 1 from the
   multiplicativity failures of ``validate_degree_hom``; the reference is
   the product of every pair of window elements.
-- ``monoid_odd.monoid_axioms`` decides the axioms from d(id) and End(G)'s
-  composition table by an identity check and Light's test; the reference
-  is d(id) = 1 and every triple of the table, and each witness it
-  returns is checked against the table.
+- ``monoid_odd.monoid_axioms`` decides the axioms from d(id) and
+  ``composition_table(ctx.group)`` by an identity check and Light's test
+  on that table's own greedy generators; the tables, End(G)'s or one
+  corrupted by ``conftest.with_composition``, are read where every
+  context reads them, off the group's Cayley graph.  The reference is
+  d(id) = 1 and every triple of the table, and each witness it returns
+  is checked against the table.
 - ``groups.is_commutative`` compares row and column only for the greedy
   generators, and ``MonoidContext.is_abelian`` only End(G)'s monoid
   generators, pairwise, off the columns of its Cayley graph; the
@@ -51,6 +54,7 @@ from spaceform.endomorphisms import composition_table
 from spaceform.errors import NotAGroupError, StructureError
 from spaceform.groups import _check_table, greedy_generators, is_commutative
 from spaceform.monoid_odd import MonoidContext, monoid_axioms
+from tests.conftest import with_composition
 from tests.test_end_properties import groups
 
 PROPERTY = settings(
@@ -283,8 +287,8 @@ def contexts(draw):
         values = draw(st.lists(st.integers(0, g.order - 1), min_size=size, max_size=size))
         if draw(st.booleans()):
             values[identity_endomorphism(g).canonical_index] = 1 % g.order
-    dhom = DegreeHom(group=g, n=n, values=tuple(values), provenance="user-supplied")
-    return MonoidContext(dhom, tuple(map(tuple, comp)))
+    h = with_composition(g, comp)
+    return MonoidContext(DegreeHom(h, n, tuple(values), "user-supplied"))
 
 
 @st.composite
@@ -320,15 +324,22 @@ class TestClosure:
 
 # C_3 with d = 1 and the composition x o y = y: associative, every product
 # valid, but the identity endomorphism is only a left identity
-RIGHT_ZERO = MonoidContext(
-    DegreeHom(make_cyclic(3), 1, (1, 1, 1), "user-supplied"),
-    ((0, 1, 2),) * 3,
-)
+RIGHT_ZERO = MonoidContext(DegreeHom(
+    with_composition(make_cyclic(3), ((0, 1, 2),) * 3), 1, (1, 1, 1), "user-supplied"
+))
+
+# End(C_5)'s table with rows 2, 3 and 4 changed so that End(C_5)'s monoid
+# generators 0, 2 no longer reach endo 3: Light's test on them passes, and
+# only the table's own greedy generators 0, 2, 3 find its failure
+UNREACHED = monoid_context(with_composition(make_cyclic(5), (
+    (0, 0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (0, 3, 3, 1, 3), (0, 4, 1, 3, 2),
+)), 1)
 
 
 def witness_fails(ctx, witness: str) -> bool:
     """Whether the failure that ``witness`` names holds in ``ctx``'s table and d."""
-    comp, d, m, i = ctx._comp, ctx.dhom.values, ctx.group.order, ctx.identity_index
+    comp, d, i = composition_table(ctx.group), ctx.dhom.values, ctx.identity_index
+    m = ctx.group.order
     ints = [int(v) for v in re.findall(r"\d+", witness)]
     if witness.startswith("(id, 1) is not an element: "):
         return ints[1:] == [i, d[i], m] and d[i] != 1 % m
@@ -363,15 +374,13 @@ class TestAxiomSuite:
         q32 = make_generalized_quaternion(32)
         comp = [list(row) for row in composition_table(q32)]
         comp[54][9] = 22
-        dhom = build_degree_hom(q32, 1, {i: 1 for i in range(len(comp))})
-        ctx = MonoidContext(dhom, tuple(map(tuple, comp)))
+        ctx = monoid_context(with_composition(q32, comp), 1, {i: 1 for i in range(len(comp))})
         witness = monoid_axioms(ctx)
         assert witness is not None
         assert witness_fails(ctx, witness)
 
     def test_each_witness_kind_names_a_real_failure(self):
         g = make_cyclic(4)
-        dhom = build_degree_hom(g, 1)
         comp = [list(row) for row in composition_table(g)]
         comp[0][0] = 2  # d(0) = d(2) = 0: products stay valid, associativity breaks
         cases = {
@@ -379,8 +388,11 @@ class TestAxiomSuite:
                 DegreeHom(g, 1, (0,) * 4, "user-supplied")
             ),
             "endo 0 o identity endo 1 = endo 1": RIGHT_ZERO,
+            "(endo 2 o endo 3) o endo 3 = endo 1 != endo 2 o (endo 3 o endo 3) = endo 2": (
+                UNREACHED
+            ),
             "(endo 0 o endo 0) o endo 2 = endo 0 != endo 0 o (endo 0 o endo 2) = endo 2": (
-                MonoidContext(dhom, tuple(map(tuple, comp)))
+                monoid_context(with_composition(g, comp), 1)
             ),
         }
         for witness, ctx in cases.items():
@@ -402,8 +414,9 @@ def every_triple_is_a_monoid(comp, ident) -> bool:
 @PROPERTY
 @given(contexts())
 @example(RIGHT_ZERO)
+@example(UNREACHED)
 def test_exact_decision_agrees_with_every_triple(ctx):
-    comp, ident = ctx._comp, ctx.identity_index
+    comp, ident = composition_table(ctx.group), ctx.identity_index
     witness = monoid_axioms(ctx)
     d_ident_is_one = ctx.dhom.values[ident] == 1 % ctx.group.order
     assert (witness is None) == (d_ident_is_one and every_triple_is_a_monoid(comp, ident))
@@ -507,13 +520,3 @@ def test_endo_residue_equals_the_walk_on_relabelled_cyclic_tables(m, rng):
     assert [endo_residue(e) for e in enumerate_endomorphisms(g)] == [
         residue_by_walk(e) for e in enumerate_endomorphisms(g)
     ]
-
-
-def test_an_injected_table_is_walked_for_its_own_generators():
-    # C_4 with 0 o 0 -> 2: End(C_4)'s generators are 0, 2, 3; this table's 0, 3
-    g = make_cyclic(4)
-    comp = [list(row) for row in composition_table(g)]
-    comp[0][0] = 2
-    ctx = MonoidContext(build_degree_hom(g, 1), tuple(map(tuple, comp)))
-    assert monoid_context(g, 1).generators == (0, 2, 3)
-    assert ctx.generators == (0, 3) == tuple(greedy_generators(ctx._comp, 1))
