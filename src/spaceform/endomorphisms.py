@@ -29,18 +29,17 @@ images or more.
 
 Composition is keyed the same way: a o b is found by its images on S,
 a(b(s)).  :class:`CayleyGraph` walks End(G)'s right Cayley graph from the
-identity as :func:`greedy_generators` walks a table, finding End(G)'s
-greedy monoid generators T.  Each step x -> x o t is one gather of x's
-images at t's generator images and one ``index`` lookup: |End| |T|
-lookups, with no composition table.  The walk keeps each element's parent
-edge (p, t), x = p o t, and the columns x -> x o t, from which d's
-multiplicativity and End(G)'s commutativity are decided.  A row of the
-composition table is gathered only when a caller reads it: row(t) for t
-in T is read off the columns along the walk, and every other row is a
-gather of its parent's, row(p o t)[j] = row(p)[row(t)[j]].  Each row is
-gathered once and kept.  The rows of the units cost no others: x o t invertible makes
-x onto and t one-to-one, so both are invertible, and every walk ancestor
-of a unit is a unit.
+identity by :func:`groups.greedy_walk`, as :func:`greedy_generators` walks
+a table, finding End(G)'s greedy monoid generators T.  A column x -> x o t
+costs, per x, one gather of x's images at t's generator images and one
+``index`` lookup: |End| |T| lookups, no composition table.  The walk keeps
+each element's parent edge (p, t), x = p o t, and the columns, from which
+d's multiplicativity and End(G)'s commutativity are decided.  A row of the
+table is gathered, once, only when a caller reads it: row(t) for t in T
+is read off the columns along the walk, and every other row is a gather of
+its parent's, row(p o t)[j] = row(p)[row(t)[j]].  The rows of the units
+cost no others: x o t invertible makes x onto and t one-to-one, so both
+are invertible, and every walk ancestor of a unit is a unit.
 
 End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
 :func:`_enumerate`), with its Cayley graph and the rows gathered so far.
@@ -57,7 +56,7 @@ from math import prod
 from operator import itemgetter
 
 from .errors import DomainMismatchError, SizeCapError
-from .groups import FiniteGroup, greedy_generators, max_order
+from .groups import FiniteGroup, _check_cap, greedy_generators, greedy_walk
 
 # The End(G) search refuses more candidate generator images than this.  No
 # group that acts freely on a sphere within the order cap comes near it
@@ -74,14 +73,14 @@ class Endomorphism:
     is_automorphism: bool
     canonical_index: int
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
 
 def _cayley_edges(g: FiniteGroup, gens: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """Edges (x, i, x*gens[i]) of the right Cayley graph, in BFS order from 0.
 
-    Every edge's source is reached by an earlier edge (or is 0).
+    Every edge's source is reached by an earlier edge (or is 0).  Breadth-first
+    order, not :func:`groups.greedy_walk`'s, keeps :func:`_extend`'s edge steps
+    down: greedy order took 1654 -> 2420 on Q32, 5497 -> 6529 on Q64 and
+    54 138 -> 123 809 on Q8 x C4 (Q128 alone fell, 19 400 -> 17 864).
     """
     t = g.table
     seen = [False] * g.order
@@ -133,8 +132,8 @@ class _EndData:
 
 
 class CayleyGraph:
-    """End(G)'s right Cayley graph on its greedy monoid generators T, with the
-    rows of the composition table gathered along it on demand.
+    """End(G)'s right Cayley graph on its greedy monoid generators T (walked by
+    :func:`groups.greedy_walk`), with the table's rows gathered on demand.
 
     ``generators`` is T, ``columns[i][x]`` is x o ``generators[i]``,
     ``walk_order`` the elements in the order the walk from the identity
@@ -145,65 +144,38 @@ class CayleyGraph:
     def __init__(self, data: _EndData):
         images = [e.images for e in data.endos]
         index = data.index
-        size = len(images)
-        ident = index[data.gens]
-        self.rows: list[tuple[int, ...] | None] = [None] * size
-        self.rows[ident] = tuple(range(size))
-        parents: list[tuple[int, int] | None] = [None] * size  # x = p o t, or None
-        reached = [False] * size
-        reached[ident] = True
-        order = [ident]
-        steps: list[tuple[int, itemgetter, list[int]]] = []  # (t, key getter, column)
-        nxt = 0
-        while len(order) < size:
-            while reached[nxt]:
-                nxt += 1
-            reached[nxt] = True
-            col = [0] * size
+        self._ident = ident = index[data.gens]
+
+        def column(t: int) -> list[int]:
             # x o t has generator images x(t(s)): x's images at t's own
-            key = _tuple_getter(tuple(images[nxt][s] for s in data.gens))
-            steps.append((nxt, key, col))
-            fresh = [nxt]
-            for x in order:  # closed under the earlier generators already
-                col[x] = y = index[key(images[x])]
-                if not reached[y]:
-                    reached[y] = True
-                    parents[y] = (x, nxt)
-                    fresh.append(y)
-            for x in fresh:  # the list grows while it is walked
-                img = images[x]
-                for t, key, col in steps:
-                    col[x] = y = index[key(img)]
-                    if not reached[y]:
-                        reached[y] = True
-                        parents[y] = (x, t)
-                        fresh.append(y)
-            order += fresh
-        self.generators = tuple(t for t, _, _ in steps)
-        self.columns = tuple(tuple(col) for _, _, col in steps)
+            key = _tuple_getter(tuple(images[t][s] for s in data.gens))
+            return [index[key(x)] for x in images]
+
+        gens, columns, order, self._parents = greedy_walk(len(images), ident, column)
+        self.generators = tuple(gens)
+        self.columns = tuple(map(tuple, columns))
         self.walk_order = tuple(order)
-        self._parents = parents
+        self.rows: list[tuple[int, ...] | None] = [None] * len(images)
+        self.rows[ident] = tuple(range(len(images)))
         self._gathers: dict[int, itemgetter] = {}  # t -> itemgetter(*row(t))
 
     def row(self, x: int) -> tuple[int, ...]:
         """Row x, gathered on first use and kept, after its walk ancestors.
 
-        Row t of a generator is read off the columns (:meth:`_generator_row`);
-        every other row is a gather of its parent's,
-        row(p o t)[j] = row(p)[row(t)[j]], since (p o t) o b = p o (t o b).
+        Row t of a generator, reached by the edge (id, t), is read off the
+        columns (:meth:`_generator_row`); every other row is a gather of its
+        parent's, row(p o t)[j] = row(p)[row(t)[j]], since (p o t) o b = p o (t o b).
         """
         rows, parents = self.rows, self._parents
         chain, y = [], x
-        while rows[y] is None:  # up to the nearest gathered ancestor or a generator
+        while rows[y] is None:  # up to the nearest gathered ancestor
             chain.append(y)
-            if parents[y] is None:
-                break
             y = parents[y][0]
         for y in reversed(chain):
-            if parents[y] is None:  # a generator
+            p, t = parents[y]
+            if p == self._ident:  # a generator
                 rows[y] = self._generator_row(y)
             else:
-                p, t = parents[y]
                 if t not in self._gathers:
                     self._gathers[t] = itemgetter(*self.row(t))
                 rows[y] = self._gathers[t](rows[p])
@@ -211,15 +183,12 @@ class CayleyGraph:
 
     def _generator_row(self, t: int) -> tuple[int, ...]:
         """Row t, entry by entry in walk order: t o (p o u) = (t o p) o u is
-        column u at row(t)[p], and t o u is column u at t for a generator u."""
+        column u at row(t)[p], and t o id = t."""
         columns = dict(zip(self.generators, self.columns))
-        row = [t] * len(self.rows)  # t o id = t
-        for j in self.walk_order:
-            edge = self._parents[j]
-            if edge is not None:
-                row[j] = columns[edge[1]][row[edge[0]]]
-            elif j in columns:
-                row[j] = columns[j][t]
+        row = [t] * len(self.rows)
+        for j in self.walk_order[1:]:  # every element but the identity
+            p, u = self._parents[j]
+            row[j] = columns[u][row[p]]
         return tuple(row)
 
 
@@ -266,8 +235,7 @@ def _enumerate(g: FiniteGroup) -> _EndData:
     """End(G), searched on the first call for ``g`` and kept on it."""
     if "_end" in g.__dict__:
         return g.__dict__["_end"]
-    if g.order > max_order():
-        raise SizeCapError(f"order {g.order} exceeds cap {max_order()}")
+    _check_cap(g.order)
     gens = tuple(greedy_generators(g.table))
     orders = g.element_orders
     candidates = [

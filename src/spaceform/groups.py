@@ -9,7 +9,8 @@ finite monoid whose left multiplications are bijections is a group, so
 they are scanned only to name the failure of a table that is none.  So
 any :class:`FiniteGroup` in circulation is a genuine group.  G's table and
 the units E(G, n) share :func:`orders_in` and :func:`identity_row`; G's
-table and End(G)'s composition table share Light's test below; the units
+table and End(G)'s composition table share Light's test below, and
+:func:`greedy_walk` walks G's table and End(G)'s Cayley graph; the units
 alone use :func:`is_commutative` (End(G)'s Cayley graph decides its own).
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import operator
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -128,43 +129,54 @@ def identity_row(table: tuple[tuple[int, ...], ...]) -> int | None:
 
 
 def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> list[int]:
+    """The generators :func:`greedy_walk` picks on a table's columns."""
+    return greedy_walk(len(table), ident, lambda t: [row[t] for row in table])[0]
+
+
+def greedy_walk(
+    size: int, ident: int, column: Callable[[int], Sequence[int]]
+) -> tuple[list[int], list[Sequence[int]], list[int], list[tuple[int, int] | None]]:
     """Greedy generators: repeatedly add the smallest element not yet reached.
 
-    An element is reached when it is a product (((ident*a1)*a2)*...)*ak of
-    chosen generators; in a finite group these products form the subgroup
-    the generators generate.  Any square table will do, provided ``ident``
-    is a left identity: then each new generator a = ident*a is reached at
-    once.  Otherwise the walk may never end.
+    ``column(t)`` lists x*t for every x.  An element is reached when it is a
+    product (((ident*a1)*a2)*...)*ak of chosen generators; in a finite group
+    these products form the subgroup the generators generate.  Any square
+    table will do, provided ``ident`` is a left identity: then each new
+    generator a = ident*a is reached at once.  Otherwise the walk may never end.
 
     Each element is walked once with each generator: what was reached
     before a generator was added is closed under the earlier ones, so it
-    needs only the new one, O(n |S|) steps in all.
+    needs only the new one, O(n |S|) steps in all.  Returns the generators,
+    their columns, the elements in the order reached, and the edge (x, t)
+    that first reached each y = x*t: (ident, t) for a generator t, None for ident.
     """
-    n = len(table)
-    reached = [False] * n
+    reached = [False] * size
     reached[ident] = True
-    seen = [ident]
-    gens: list[int] = []
+    order = [ident]
+    parents: list[tuple[int, int] | None] = [None] * size
+    steps: list[tuple[int, Sequence[int]]] = []  # (t, column x -> x*t)
     nxt = 0
-    while len(seen) < n:
+    while len(order) < size:
         while reached[nxt]:
             nxt += 1
-        gens.append(nxt)
+        col = column(nxt)
+        steps.append((nxt, col))
         fresh = []
-        for x in seen:
-            y = table[x][nxt]
+        for x in order:  # closed under the earlier generators already
+            y = col[x]
             if not reached[y]:
                 reached[y] = True
+                parents[y] = (x, nxt)
                 fresh.append(y)
         for x in fresh:  # the list grows while it is walked
-            row = table[x]
-            for s in gens:
-                y = row[s]
+            for t, col in steps:
+                y = col[x]
                 if not reached[y]:
                     reached[y] = True
+                    parents[y] = (x, t)
                     fresh.append(y)
-        seen += fresh
-    return gens
+        order += fresh
+    return [t for t, _ in steps], [col for _, col in steps], order, parents
 
 
 def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
@@ -222,12 +234,16 @@ def first_nonassociative(
     return None
 
 
+def _check_cap(n: int) -> None:
+    if n > max_order():
+        raise SizeCapError(f"order {n} exceeds cap {max_order()}")
+
+
 def _finish(table: tuple[tuple[int, ...], ...], name: str) -> FiniteGroup:
     n = len(table)
     if n == 0:
         raise InvalidOrderError("a group must have at least one element")
-    if n > max_order():
-        raise SizeCapError(f"order {n} exceeds cap {max_order()}")
+    _check_cap(n)
     ident = _check_table(table)
     if ident != 0:
         perm = list(range(n))
@@ -242,6 +258,7 @@ def make_cyclic(m: int) -> FiniteGroup:
     """The cyclic group C_m with i*j = (i+j) mod m."""
     if m < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {m}")
+    _check_cap(m)
     twice = tuple(range(m)) * 2
     return _finish(tuple(twice[i:i + m] for i in range(m)), f"C{m}")
 
@@ -255,6 +272,7 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
         raise InvalidOrderError(
             f"generalized quaternion order must be 4k with k >= 2, got {order}"
         )
+    _check_cap(order)
     k = order // 4
     n2 = 2 * k  # order of x
 
@@ -296,8 +314,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """A x B with pair (i, j) encoded as i * |B| + j."""
     nb = b.order
     n = a.order * nb
-    if n > max_order():
-        raise SizeCapError(f"order {n} exceeds cap {max_order()}")
+    _check_cap(n)
     table = tuple(
         tuple(
             a.table[x // nb][y // nb] * nb + b.table[x % nb][y % nb]

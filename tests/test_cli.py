@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -548,6 +549,23 @@ class TestEndSearchBound:
             assert (code, out) == (EXIT_INPUT, "")
             assert f"would search {64 ** 6} candidate generator images" in err
         assert time.perf_counter() - start < 10
+
+
+class TestOrderCapBeforeTheTable:
+    @pytest.mark.parametrize("spec", ["cyclic:1000", "quaternion:1000"])
+    def test_a_named_group_over_the_cap_is_refused_before_its_table(
+        self, capsys, monkeypatch, spec
+    ):
+        """The cap is checked before the order-squared table is built."""
+        monkeypatch.delenv("SPACEFORM_MAX_ORDER", raising=False)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "monoid", "--group", spec, "--n", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_INPUT, "", "input error: order 1000 exceeds cap 128\n")
+        assert peak < 2**20
 
 
 class TestCensusCommand:

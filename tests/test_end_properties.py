@@ -36,7 +36,7 @@ from spaceform import (
 from spaceform import endomorphisms
 from spaceform.degree import DegreeHom
 from spaceform.errors import InvalidTableError, NotAHomomorphismError, SizeCapError
-from spaceform.groups import greedy_generators
+from spaceform.groups import greedy_generators, greedy_walk
 from tests.conftest import brute_force_endomorphisms
 from tests.test_degree import independent_law_check
 
@@ -389,6 +389,41 @@ def test_greedy_generators_equal_naive_closure(g, data):
     comp = endomorphisms.composition_table(g)
     ident = endomorphisms.identity_endomorphism(g).canonical_index
     assert greedy_generators(comp, ident) == naive_greedy_generators(comp, ident)
+
+
+def check_greedy_walk(table, ident: int) -> tuple:
+    """``greedy_walk`` on a table's columns against the table itself; returns the walk."""
+    walk = greedy_walk(len(table), ident, lambda t: [row[t] for row in table])
+    gens, columns, order, parents = walk
+    assert sorted(order) == list(range(len(table))) and order[0] == ident
+    assert parents[ident] is None
+    place = {y: i for i, y in enumerate(order)}
+    column = dict(zip(gens, columns))
+    for y in order[1:]:
+        x, t = parents[y]
+        assert place[x] < place[y]
+        assert column[t][x] == table[x][t] == y
+        assert (x == ident) == (y in gens)  # a generator's edge is (ident, t)
+    assert gens == naive_greedy_generators(table, ident)
+    return walk
+
+
+@PROPERTY
+@given(groups(24), st.data())
+def test_greedy_walk_records_an_edge_into_each_element(g, data):
+    check_greedy_walk(g.table, 0)
+    perm = data.draw(st.permutations(range(g.order)))  # the identity moved to perm[0]
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    check_greedy_walk(table, perm[0])
+    comp = endomorphisms.composition_table(g)
+    ident = endomorphisms.identity_endomorphism(g).canonical_index
+    gens, columns, order, parents = check_greedy_walk(comp, ident)
+    graph = endomorphisms.cayley_graph(g)
+    assert graph.columns == tuple(map(tuple, columns))
+    assert (graph.walk_order, graph._parents) == (tuple(order), parents)
 
 
 @PROPERTY
