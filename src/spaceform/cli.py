@@ -3,6 +3,12 @@
 Subcommands: monoid | equiv | even | degrees | check | census.
 Exit codes: 0 success, 1 input error, 2 validation failure or a command
 line argparse refuses (with a usage line), 3 internal invariant breach.
+
+M(G, n) is fixed by G and n alone, so a named group (``cyclic:m``,
+``quaternion:4k``) is built once per process by :func:`named_group` and
+kept, with End(G) and what is derived from it, for every later request
+in the process, whatever its n, d-table or subcommand.  ``table:`` files
+are re-read on every request.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _check_cap,
     load_group,
     make_cyclic,
     make_generalized_quaternion,
@@ -50,6 +57,31 @@ EXIT_INTERNAL = 3
 # monoid lists about 2W |End(G)| / |G| degrees
 MAX_WINDOW = 1000
 
+# named_group keeps groups up to this order: the 79 named groups of order
+# <= 64 retain about 15 MB with every row of End(G) gathered, while one
+# check on Q128 alone gathers 32 MB
+NAMED_GROUP_MAX_ORDER = 64
+# (kind, order) -> the group named_group built for it
+NAMED_GROUPS: dict[tuple[str, int], FiniteGroup] = {}
+
+
+def named_group(kind: str, order: int) -> FiniteGroup:
+    """C_order for ``kind`` "cyclic", Q_order for "quaternion", built once per
+    process if the order is at most NAMED_GROUP_MAX_ORDER.
+
+    SPACEFORM_MAX_ORDER is read on every call, and a kept group is served
+    only within it.  A refused order raises on every call, as it is never
+    kept.  The library constructors stay uncached.
+    """
+    group = NAMED_GROUPS.get((kind, order))
+    if group is not None:
+        _check_cap(order)  # a kept group passed every other check when built
+        return group
+    group = (make_cyclic if kind == "cyclic" else make_generalized_quaternion)(order)
+    if order <= NAMED_GROUP_MAX_ORDER:
+        NAMED_GROUPS[kind, order] = group
+    return group
+
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     kind, _, arg = spec.partition(":")
@@ -63,7 +95,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         order = int(arg)
     except ValueError:
         raise GroupSpecError(f"group spec {spec!r}: the order must be an integer") from None
-    return make_cyclic(order) if kind == "cyclic" else make_generalized_quaternion(order)
+    return named_group(kind, order)
 
 
 def _user_dtable(args) -> dict[int, int] | None:
@@ -358,8 +390,7 @@ def cmd_census(args) -> int:
         raise SizeCapError(f"order {max_order() + 1} exceeds cap {max_order()}")
     rows = []
     for m in range(1, args.max_order + 1):
-        group = make_cyclic(m)
-        ctx = monoid_context(group, args.n)
+        ctx = monoid_context(named_group("cyclic", m), args.n)
         eg = ctx.equivalence_group()
         rows.append(
             {

@@ -44,7 +44,8 @@ are invertible, and every walk ancestor of a unit is a unit.
 End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
 :func:`_enumerate`), with its Cayley graph and the rows gathered so far.
 Two group objects share nothing, even when equal, and End(G) is freed
-with its group.
+with its group.  The CLI keeps its named groups of order <= 64 for the
+life of the process (``cli.named_group``), and so their End(G) too.
 """
 
 from __future__ import annotations

@@ -53,6 +53,13 @@ def identity_even() -> int:
 
 
 def class_label(x: int) -> str:
-    """The name of the class of x: b[x] for odd x, else a0 or a2."""
-    x = canonicalize(x)
+    """The name of the class of x: b[x] for odd x, else a0 or a2.
+
+    A bool or float is refused, as a str or None is: labels are read, so
+    b[True] or b[3.0] would name a class that does not exist.
+    """
+    try:
+        x = canonicalize(as_int(x))
+    except TypeError:
+        raise DomainMismatchError(f"a class of M(RP^2n) is an int, got {x!r}") from None
     return f"b[{x}]" if x & 1 else f"a{x}"

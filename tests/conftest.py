@@ -5,8 +5,16 @@ from __future__ import annotations
 import pytest
 
 from spaceform import make_cyclic, make_generalized_quaternion
+from spaceform.cli import NAMED_GROUPS
 from spaceform.endomorphisms import cayley_graph
 from spaceform.groups import FiniteGroup
+
+
+@pytest.fixture(autouse=True)
+def no_kept_named_groups():
+    """Every test starts with no group kept by ``cli.named_group``, so that no
+    test sees End(G) built, or patched, by a test that ran before it."""
+    NAMED_GROUPS.clear()
 
 
 @pytest.fixture(scope="session")

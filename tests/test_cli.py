@@ -11,15 +11,18 @@ from pathlib import Path
 import pytest
 
 import spaceform
-from spaceform import monoid_odd
+from spaceform import endomorphisms, monoid_odd
 from spaceform.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
     MAX_WINDOW,
+    NAMED_GROUP_MAX_ORDER,
+    NAMED_GROUPS,
     coset_representative,
     main,
+    named_group,
     parse_group_spec,
     render_json,
 )
@@ -834,6 +837,111 @@ class TestInfrastructure:
         assert code == EXIT_INPUT
         assert out == ""
         assert "SPACEFORM_MAX_ORDER" in err
+
+
+class TestNamedGroupsKept:
+    """A named group is built once per process and serves every later request."""
+
+    @pytest.fixture
+    def extends(self, monkeypatch):
+        """The End(G) candidate extensions made, as a list that grows."""
+        calls = []
+        real = endomorphisms._extend
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(endomorphisms, "_extend", counting)
+        return calls
+
+    def test_a_second_request_runs_no_end_search(self, capsys, tmp_path, extends):
+        ones = str(all_ones_q8(tmp_path))
+        for first, second in [
+            (["monoid", "--group", "cyclic:12", "--n", "1"],
+             ["equiv", "--group", "cyclic:12", "--n", "2"]),
+            (["check", "--group", "quaternion:8", "--n", "1", "--d-table", ones],
+             ["degrees", "--group", "quaternion:8", "--n", "1", "--d-table", ones, "1"]),
+            (["census", "--max-order", "6", "--n", "1"],
+             ["monoid", "--group", "cyclic:6", "--n", "2"]),
+        ]:
+            extends.clear()
+            assert run(capsys, *first)[0] == EXIT_OK
+            assert extends
+            extends.clear()
+            assert run(capsys, *second)[0] == EXIT_OK
+            assert extends == []
+
+    def test_cold_and_warm_output_are_identical(self, capsys, tmp_path):
+        ones = str(all_ones_q8(tmp_path))
+        requests = [["even", "--n", "1"], ["census", "--max-order", "12", "--n", "1"]]
+        for group in (["--group", "cyclic:12"], ["--group", "quaternion:8", "--d-table", ones]):
+            requests += [
+                ["monoid", *group, "--n", "1", "--window", "3"],
+                ["equiv", *group, "--n", "1"],
+                ["degrees", *group, "--n", "1", "1", "3", "5", "-7"],
+                ["check", *group, "--n", "1"],
+            ]
+        argvs = [[*argv, "--format", fmt] for argv in requests for fmt in ("json", "md", "csv")]
+        cold = []
+        for argv in argvs:
+            NAMED_GROUPS.clear()
+            cold.append(run(capsys, *argv))
+        assert {code for code, _, _ in cold} == {EXIT_OK}
+        NAMED_GROUPS.clear()
+        for _ in range(2):  # warmed by earlier requests, then by all of them
+            assert [run(capsys, *argv) for argv in argvs] == cold
+
+    def test_a_lowered_cap_refuses_a_kept_group(self, capsys, monkeypatch, extends):
+        argv = ["monoid", "--group", "cyclic:12", "--n", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        monkeypatch.setenv("SPACEFORM_MAX_ORDER", "8")
+        assert run(capsys, *argv) == (EXIT_INPUT, "", "input error: order 12 exceeds cap 8\n")
+        monkeypatch.setenv("SPACEFORM_MAX_ORDER", "abc")
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and "SPACEFORM_MAX_ORDER" in err
+        monkeypatch.delenv("SPACEFORM_MAX_ORDER")
+        extends.clear()
+        assert run(capsys, *argv) == (EXIT_OK, out, "")
+        assert extends == []  # still kept
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("cyclic:0", "cyclic group order must be >= 1, got 0"),
+            ("quaternion:6", "generalized quaternion order must be 4k with k >= 2, got 6"),
+        ],
+    )
+    def test_a_refused_spec_is_refused_every_time(self, capsys, spec, message):
+        for _ in range(2):
+            code, out, err = run(capsys, "monoid", "--group", spec, "--n", "1")
+            assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+        assert NAMED_GROUPS == {}
+
+    @pytest.mark.parametrize(
+        "kind, order, kept",
+        [("cyclic", 64, True), ("cyclic", 65, False),
+         ("quaternion", 64, True), ("quaternion", 68, False)],
+    )
+    def test_only_groups_up_to_order_64_are_kept(self, kind, order, kept):
+        assert NAMED_GROUP_MAX_ORDER == 64
+        assert (named_group(kind, order) is named_group(kind, order)) is kept
+        assert ((kind, order) in NAMED_GROUPS) is kept
+
+    def test_library_constructors_and_table_files_are_not_cached(self, capsys, tmp_path):
+        kept = named_group("cyclic", 12)
+        assert spaceform.make_cyclic(12) is not kept
+        assert spaceform.make_cyclic(12) is not spaceform.make_cyclic(12)
+        path = tmp_path / "group.json"
+        argv = ["monoid", "--group", f"table:{path}", "--n", "1", "--format", "json"]
+        for order in (5, 7):  # the file changes between requests
+            path.write_text(json.dumps(
+                {"table": [[(i + j) % order for j in range(order)] for i in range(order)]}
+            ))
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert json.loads(out)["order"] == order
 
 
 class TestProcess:

@@ -40,6 +40,11 @@ class TestCanonicalize:
         with pytest.raises(DomainMismatchError):
             class_label(k)
 
+    @pytest.mark.parametrize("k", [True, False, 3.0, 2.0])
+    def test_class_label_refuses_a_bool_or_float(self, k):
+        with pytest.raises(DomainMismatchError, match="is an int, got"):
+            class_label(k)
+
     def test_multiply_even_refuses_a_float_through_canonicalize(self):
         for x, y in [(3.0, 3), (3, 3.0), (2.0, 2)]:
             with pytest.raises(DomainMismatchError):
