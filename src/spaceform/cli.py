@@ -218,21 +218,14 @@ def cmd_monoid(args) -> int:
                 "degrees_in_window": " ".join(map(str, samples[e.canonical_index])),
             }
         )
-    shown = min(len(ctx.endos), 10)
-    reps = [
-        (i, coset_representative(ctx.dhom(i), m)) for i in range(shown)
+    shown = [
+        ctx.element(i, coset_representative(ctx.dhom(i), m))
+        for i in range(min(len(ctx.endos), 10))
     ]
+    label = "({},{})".format
     product_rows = [
-        {
-            "x": f"({i},{ki})",
-            **{
-                f"({j},{kj})": "({},{})".format(*ctx.multiply(
-                    ctx.element(i, ki), ctx.element(j, kj)
-                ))
-                for j, kj in reps
-            },
-        }
-        for i, ki in reps
+        {"x": label(*x), **{label(*y): label(*ctx.multiply(x, y)) for y in shown}}
+        for x in shown
     ]
     report = {
         "command": "monoid",
@@ -245,7 +238,7 @@ def cmd_monoid(args) -> int:
         "rows": rows,
         "product_table": product_rows,
         "product_table_note": (
-            f"first {shown} endomorphism classes, least-|k| coset representatives"
+            f"first {len(shown)} endomorphism classes, least-|k| coset representatives"
         ),
     }
     emit(report, args)

@@ -7,7 +7,8 @@ any other group the table must be supplied by the user and is accepted
 only if it satisfies the monoid-homomorphism laws.  Multiplicativity is
 decided exactly on the generator edges d(x o s) = d(x) d(s), with s among
 End(G)'s greedy monoid generators (see :func:`_edges_hold`), read off the
-columns of End(G)'s Cayley graph (``endomorphisms.CayleyGraph``) with no
+columns of End(G)'s Cayley graph, walked when End(G) is searched and kept
+in one record with it (``endomorphisms.cayley_graph``), with no
 composition table.  The scan of the table runs only to name the failures,
 and gathers its rows only as far as it reads: :func:`build_degree_hom`
 stops at the first multiplicativity failure.
@@ -15,7 +16,6 @@ stops at the first multiplicativity failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -26,7 +26,6 @@ from .endomorphisms import (
     cayley_graph,
     composition_table,  # noqa: F401  (perfbench/test_perfbench.py patches it here)
     enumerate_endomorphisms,
-    identity_endomorphism,
 )
 from .errors import (
     DTableFormatError,
@@ -37,7 +36,7 @@ from .errors import (
     UnknownIndexError,
     UnsupportedGroupError,
 )
-from .groups import FiniteGroup, as_int
+from .groups import FiniteGroup, _read_json, as_int
 
 
 def endo_residue(e: Endomorphism) -> int:
@@ -109,10 +108,8 @@ def _edges_hold(
 def _law_failures(g: FiniteGroup, d: tuple[int, ...]) -> Iterator[LawFailure]:
     """The failures in the order identity, multiplicativity (row-major), unit,
     found as they are read: a row is gathered when the scan reaches it."""
-    endos = enumerate_endomorphisms(g)
-    graph = cayley_graph(g)
-    m = g.order
-    ident = identity_endomorphism(g).canonical_index
+    end = cayley_graph(g)
+    endos, ident, m = end.endos, end.identity, g.order
     bad_identity = d[ident] != 1 % m
     if bad_identity:
         yield LawFailure(
@@ -121,10 +118,10 @@ def _law_failures(g: FiniteGroup, d: tuple[int, ...]) -> Iterator[LawFailure]:
             f"d(identity endo {ident}) = {d[ident]}, expected {1 % m}",
         )
     # the edges decide the law; the full scan runs only to name its failures
-    if bad_identity or not _edges_hold(graph.generators, graph.columns, d, m):
+    if bad_identity or not _edges_hold(end.generators, end.columns, d, m):
         for i in range(len(endos)):
             di = d[i]
-            for j, c in enumerate(graph.row(i)):
+            for j, c in enumerate(end.row(i)):
                 if d[c] != di * d[j] % m:
                     yield LawFailure(
                         "multiplicativity",
@@ -213,8 +210,4 @@ def dtable_from_json(data: dict) -> tuple[int | None, dict[int, int]]:
 
 
 def load_dtable(path: str | Path) -> tuple[int | None, dict[int, int]]:
-    try:
-        with open(path) as fh:
-            return dtable_from_json(json.load(fh))
-    except RecursionError:  # the decoder recurses once per level of nesting
-        raise DTableFormatError("d-table file is nested too deeply to read") from None
+    return dtable_from_json(_read_json(path, DTableFormatError, "d-table"))

@@ -19,16 +19,16 @@ extension decides a whole orbit: either every candidate in it extends to
 no endomorphism, or the orbit is {a o phi : a in A}.  The loop takes the
 candidates in product order and extends those not yet decided.  A failure
 refuses its orbit, a non-injective phi adds its orbit to End(G), and a new
-automorphism grows A to <A, phi> by the walk that :class:`CayleyGraph`
-uses.  An orbit is walked by A's generators alone, one gather a step.
-Each candidate is decided as extending it would decide it, so End(G), its
-order and its indexing are those of the exhaustive search; Q64 extends 93
-of its 2304 candidates, C128 11 of 128.  A group with one generator is
-cyclic, and there every candidate extends, so a refused candidate has two
-images or more.
+automorphism grows A to <A, phi> by the walk :func:`groups.greedy_walk`
+makes on End(G).  An orbit is walked by A's generators alone, one gather
+a step.  Each candidate is decided as extending it would decide it, so
+End(G), its order and its indexing are those of the exhaustive search;
+Q64 extends 93 of its 2304 candidates, C128 11 of 128.  A group with one
+generator is cyclic, and there every candidate extends, so a refused
+candidate has two images or more.
 
 Composition is keyed the same way: a o b is found by its images on S,
-a(b(s)).  :class:`CayleyGraph` walks End(G)'s right Cayley graph from the
+a(b(s)).  Once End(G) is found, its right Cayley graph is walked from the
 identity by :func:`groups.greedy_walk`, as :func:`greedy_generators` walks
 a table, finding End(G)'s greedy monoid generators T.  A column x -> x o t
 costs, per x, one gather of x's images at t's generator images and one
@@ -42,16 +42,16 @@ cost no others: x o t invertible makes x onto and t one-to-one, so both
 are invertible, and every walk ancestor of a unit is a unit.
 
 End(G) lives on the FiniteGroup it describes, in its ``__dict__`` (see
-:func:`_enumerate`), with its Cayley graph and the rows gathered so far.
-Two group objects share nothing, even when equal, and End(G) is freed
-with its group.  The CLI keeps its named groups of order <= 64 for the
-life of the process (``cli.named_group``), and so their End(G) too.
+:func:`_enumerate`): one record holds End(G), its Cayley graph and the rows
+gathered so far, and :func:`cayley_graph` returns it.  Two group objects
+share nothing, even when equal, and End(G) is freed with its group.  The
+CLI keeps its named groups of order <= 64 for the life of the process
+(``cli.named_group``), and so their End(G) too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -118,42 +118,31 @@ def _extend(
     return tuple(phi)
 
 
-@dataclass(eq=False)
 class _EndData:
-    """End(G) in canonical order, indexed by images of the generating set."""
+    """End(G) in canonical order, indexed by images of the generating set, and
+    its right Cayley graph on its greedy monoid generators T, walked by
+    :func:`groups.greedy_walk` when End(G) is searched, with the table's rows
+    gathered on demand.
 
-    group: FiniteGroup
-    endos: tuple[Endomorphism, ...]
-    gens: tuple[int, ...]
-    index: dict[tuple[int, ...], int]  # generator images -> canonical index
-
-    @cached_property
-    def cayley(self) -> CayleyGraph:
-        return CayleyGraph(self)
-
-
-class CayleyGraph:
-    """End(G)'s right Cayley graph on its greedy monoid generators T (walked by
-    :func:`groups.greedy_walk`), with the table's rows gathered on demand.
-
-    ``generators`` is T, ``columns[i][x]`` is x o ``generators[i]``,
-    ``walk_order`` the elements in the order the walk from the identity
-    reached them, and ``rows[x]`` row x of the table, or None until
-    :meth:`row` gathers it.
+    ``index`` maps generator images to canonical indices, ``identity`` is the
+    identity's index, ``generators`` is T, ``columns[i][x]`` is x o
+    ``generators[i]``, ``walk_order`` the elements in the order the walk from
+    the identity reached them, and ``rows[x]`` row x of the table, or None
+    until :meth:`row` gathers it.
     """
 
-    def __init__(self, data: _EndData):
-        images = [e.images for e in data.endos]
-        index = data.index
-        self._ident = ident = index[data.gens]
+    def __init__(self, endos: tuple[Endomorphism, ...], gens: tuple[int, ...], index: dict):
+        self.endos, self.gens, self.index = endos, gens, index
+        self.identity = ident = index[gens]
+        images = [e.images for e in endos]
 
         def column(t: int) -> list[int]:
             # x o t has generator images x(t(s)): x's images at t's own
-            key = _tuple_getter(tuple(images[t][s] for s in data.gens))
+            key = _tuple_getter(tuple(images[t][s] for s in gens))
             return [index[key(x)] for x in images]
 
-        gens, columns, order, self._parents = greedy_walk(len(images), ident, column)
-        self.generators = tuple(gens)
+        generators, columns, order, self._parents = greedy_walk(len(images), ident, column)
+        self.generators = tuple(generators)
         self.columns = tuple(map(tuple, columns))
         self.walk_order = tuple(order)
         self.rows: list[tuple[int, ...] | None] = [None] * len(images)
@@ -174,7 +163,7 @@ class CayleyGraph:
             y = parents[y][0]
         for y in reversed(chain):
             p, t = parents[y]
-            if p == self._ident:  # a generator
+            if p == self.identity:  # a generator
                 rows[y] = self._generator_row(y)
             else:
                 if t not in self._gathers:
@@ -265,7 +254,7 @@ def _enumerate(g: FiniteGroup) -> _EndData:
             refused |= _orbit(agens, imgs)
         elif phi.count(0) > 1:  # a nontrivial kernel
             found.update(_orbit_maps(agens, imgs, phi))
-        else:  # close A to <A, phi>, walked as CayleyGraph walks End(G)
+        else:  # close A to <A, phi>, walked as greedy_walk walks End(G)
             agens.append(phi)
             steps.append((itemgetter(*phi), _tuple_getter(imgs)))
             gather, key = steps[-1]
@@ -293,7 +282,7 @@ def _enumerate(g: FiniteGroup) -> _EndData:
         for i, x in enumerate(map(found.__getitem__, keys))
     )
     index = {k: i for i, k in enumerate(keys)}
-    return g.__dict__.setdefault("_end", _EndData(g, endos, gens, index))
+    return g.__dict__.setdefault("_end", _EndData(endos, gens, index))
 
 
 def enumerate_endomorphisms(g: FiniteGroup) -> list[Endomorphism]:
@@ -317,7 +306,7 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
 
 def identity_endomorphism(g: FiniteGroup) -> Endomorphism:
     data = _enumerate(g)
-    return data.endos[data.index[data.gens]]
+    return data.endos[data.identity]
 
 
 def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -332,6 +321,7 @@ def composition_table(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(graph.rows)
 
 
-def cayley_graph(g: FiniteGroup) -> CayleyGraph:
-    """End(G)'s right Cayley graph on its greedy monoid generators, kept with End(G)."""
-    return _enumerate(g).cayley
+def cayley_graph(g: FiniteGroup) -> _EndData:
+    """End(G) with its right Cayley graph and the rows gathered so far: the
+    one record kept on ``g``."""
+    return _enumerate(g)

@@ -10,8 +10,9 @@ they are scanned only to name the failure of a table that is none.  So
 any :class:`FiniteGroup` in circulation is a genuine group.  G's table and
 the units E(G, n) share :func:`orders_in` and :func:`identity_row`; G's
 table and End(G)'s composition table share Light's test below, and
-:func:`greedy_walk` walks G's table and End(G)'s Cayley graph; the units
-alone use :func:`is_commutative` (End(G)'s Cayley graph decides its own).
+:func:`greedy_walk` walks G's table and, as End(G) is searched, End(G)'s
+Cayley graph; the units alone use :func:`is_commutative` (End(G)'s Cayley
+graph decides its own).
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
@@ -38,6 +39,7 @@ from math import gcd
 from pathlib import Path
 
 from .errors import (
+    InputError,
     InvalidCapError,
     InvalidOrderError,
     NotAGroupError,
@@ -382,9 +384,16 @@ def group_from_json(data: dict) -> FiniteGroup:
     return g
 
 
-def load_group(path: str | Path) -> FiniteGroup:
+def _read_json(path: str | Path, error: type[InputError], what: str):
+    """The JSON value in a file; one the decoder cannot read raises ``error``."""
     try:
-        with open(path) as fh:
-            return group_from_json(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except RecursionError:  # the decoder recurses once per level of nesting
-        raise StructureError("group file is nested too deeply to read") from None
+        raise error(f"{what} file is nested too deeply to read") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or a number too long to convert
+        raise error(f"{what} file is not valid JSON in UTF-8: {exc}") from None
+
+
+def load_group(path: str | Path) -> FiniteGroup:
+    return group_from_json(_read_json(path, StructureError, "group"))

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .degree import DegreeHom, build_degree_hom
-from .endomorphisms import (
-    Endomorphism,
-    cayley_graph,
-    composition_table,
-    enumerate_endomorphisms,
-    identity_endomorphism,
-)
+from .endomorphisms import Endomorphism, cayley_graph, composition_table
 from .errors import DomainMismatchError, NotRealizableError
 from .groups import (
     FiniteGroup, as_int, first_nonassociative, greedy_generators, identity_row,
@@ -52,22 +46,22 @@ class EquivalenceGroup:
 class MonoidContext:
     """Everything needed to do arithmetic in M(G, n).
 
-    Products are read off the rows of End(G)'s composition table kept with
-    its Cayley graph on the group (``cayley_graph``), each gathered when
-    first read.
+    End(G), its identity and the rows of its composition table come from the
+    one End(G) record kept on the group (``cayley_graph``); products are read
+    off those rows, each gathered when first read.
     """
 
     def __init__(self, dhom: DegreeHom):
         self.group = group = dhom.group
         self.n = dhom.n
         self.dhom = dhom
-        self.endos: tuple[Endomorphism, ...] = tuple(enumerate_endomorphisms(group))
-        self._cayley = cayley_graph(group)
-        self._rows = self._cayley.rows
+        self._end = end = cayley_graph(group)
+        self.endos: tuple[Endomorphism, ...] = end.endos
+        self.identity_index = end.identity
+        self._rows = end.rows
         self._d = dhom.values
         self._order = group.order
         self._size = len(self.endos)
-        self.identity_index = identity_endomorphism(group).canonical_index
 
     def __repr__(self) -> str:
         return f"MonoidContext({self.group!r}, n={self.n})"
@@ -115,7 +109,7 @@ class MonoidContext:
             xa, xk = x
             ya, yk = y
             if xa >= 0 <= ya and xk % m == d[xa] and yk % m == d[ya]:
-                return (self._rows[xa] or self._cayley.row(xa))[ya], xk * yk
+                return (self._rows[xa] or self._end.row(xa))[ya], xk * yk
         except (IndexError, TypeError, ValueError):  # not a pair of ints of this context
             pass
         raise DomainMismatchError("operand is not a valid element of this monoid context")
@@ -140,7 +134,7 @@ class MonoidContext:
         pos = {x: i for i, x in enumerate(elems)}
         # units are elements, so each product is read off End(G)'s row of alpha;
         # only the units' rows are gathered, as every walk ancestor of a unit is one
-        rows = [(self._cayley.row(a), k) for a, k in elems]
+        rows = [(self._end.row(a), k) for a, k in elems]
         table = tuple(tuple(pos[row[b], k * l] for b, l in elems) for row, k in rows)
         return EquivalenceGroup(elements=tuple(elems), table=table)
 
@@ -150,8 +144,7 @@ class MonoidContext:
         A monoid commutes when its generators commute pairwise, so only
         t o u = u o t is checked, read off the Cayley graph's columns.
         """
-        graph = self._cayley
-        cols = dict(zip(graph.generators, graph.columns))  # cols[u][t] = t o u
+        cols = dict(zip(self._end.generators, self._end.columns))  # cols[u][t] = t o u
         return all(cols[u][t] == cols[t][u] for t in cols for u in cols if u < t)
 
     def realizable_degrees(self) -> set[int]:

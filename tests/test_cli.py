@@ -798,12 +798,14 @@ class TestInfrastructure:
             {"n": 1, "values": {"0": True}},
             {"n": True, "values": {str(i): 1 for i in range(28)}},
             {"n": 1, "values": {**{str(i): 1 for i in range(28)}, " 4": 3}},
+            # a string is written as it is, not through json.dumps
+            pytest.param('{"n": 1, "values": {"0": 1', id="truncated-json"),
         ],
     )
     @pytest.mark.parametrize("sub", ["monoid", "check"])
     def test_malformed_dtable_exits_1(self, capsys, tmp_path, data, sub):
         path = tmp_path / "d.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         code, out, err = run(
             capsys, sub, "--group", "quaternion:8", "--n", "1", "--d-table", str(path)
         )

@@ -217,6 +217,23 @@ class TestSerialization:
         with pytest.raises(DTableFormatError):
             dtable_from_json(data)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"n": 1, "values": {"0": 1',
+            b'{"n": 1, "values": {"0": "\xff"}}',
+            b'{"n": 1, "values": {"0": ' + b"1" * 5000 + b"}}",  # past int()'s digit limit
+        ],
+        ids=["truncated", "not-utf-8", "5000-digit-number"],
+    )
+    def test_unreadable_dtable_file_is_typed_input_error(self, tmp_path, raw):
+        from spaceform.degree import load_dtable
+
+        path = tmp_path / "d.json"
+        path.write_bytes(raw)
+        with pytest.raises(DTableFormatError, match="d-table file is not valid JSON in UTF-8"):
+            load_dtable(path)
+
     def test_dtable_n_is_optional(self):
         from spaceform.degree import dtable_from_json
 

@@ -649,6 +649,32 @@ def test_one_group_searches_end_once_and_gathers_each_row_once(monkeypatch):
     assert len(searches) == 1
 
 
+@pytest.mark.parametrize(
+    "make, order, table",
+    [(make_cyclic, 12, None), (make_generalized_quaternion, 16, dict.fromkeys(range(36), 1))],
+    ids=["C12", "Q16"],
+)
+def test_end_and_its_cayley_graph_are_one_record_walked_once(monkeypatch, make, order, table):
+    g = make(order)  # a fresh group: End(G) not yet searched
+    real = endomorphisms.greedy_walk
+    walks = []
+
+    def counting(*args):
+        walks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(endomorphisms, "greedy_walk", counting)
+    record = endomorphisms.cayley_graph(g)
+    assert record.endos == tuple(enumerate_endomorphisms(g))
+    assert record.identity == endomorphisms.identity_endomorphism(g).canonical_index
+    assert gathered(g) == [record.identity]  # the search gathers no other row
+    contexts = [monoid_context(g, 1, table), monoid_context(g, 2, table)]
+    contexts[0].equivalence_group()
+    contexts[1].is_abelian()
+    endomorphisms.composition_table(g)
+    assert walks == [len(record.endos)]
+
+
 def test_equal_groups_do_not_share_end():
     a, b = make_generalized_quaternion(8), make_generalized_quaternion(8)
     assert a == b and a is not b

@@ -321,6 +321,21 @@ class TestGroupFiles:
         loaded = load_group(path)
         assert loaded.table == q8.table
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"order": 2, "table": [[0, 1], [1, 0]',
+            b'{"order": 2, "table": "\xff"}',
+            b'{"order": ' + b"1" * 5000 + b"}",  # past int()'s digit limit
+        ],
+        ids=["truncated", "not-utf-8", "5000-digit-number"],
+    )
+    def test_unreadable_file_is_a_structure_error(self, tmp_path, raw):
+        path = tmp_path / "g.json"
+        path.write_bytes(raw)
+        with pytest.raises(StructureError, match="group file is not valid JSON in UTF-8"):
+            load_group(path)
+
     def test_declared_order_mismatch(self):
         with pytest.raises(StructureError):
             group_from_json({"order": 3, "table": [[0, 1], [1, 0]]})
