@@ -34,10 +34,12 @@ a table, finding End(G)'s greedy monoid generators T.  A column x -> x o t
 costs, per x, one gather of x's images at t's generator images and one
 ``index`` lookup: |End| |T| lookups, no composition table.  The walk keeps
 each element's parent edge (p, t), x = p o t, and the columns, from which
-d's multiplicativity and End(G)'s commutativity are decided.  A row of the
-table is gathered, once, only when a caller reads it: row(t) for t in T
-is read off the columns along the walk, and every other row is a gather of
-its parent's, row(p o t)[j] = row(p)[row(t)[j]].  The rows of the units
+d's multiplicativity, End(G)'s commutativity and the monoid axioms are
+decided (``monoid_odd.monoid_axioms`` checks each column against the
+composed full image arrays).  A row of the table is gathered, once, only
+when a caller reads it: row(t) for t in T is read off the columns along the
+walk, and every other row is a gather of its parent's, row(p o t)[j] =
+row(p)[row(t)[j]].  So the columns fix every row.  The rows of the units
 cost no others: x o t invertible makes x onto and t one-to-one, so both
 are invertible, and every walk ancestor of a unit is a unit.
 

@@ -9,10 +9,10 @@ finite monoid whose left multiplications are bijections is a group, so
 they are scanned only to name the failure of a table that is none.  So
 any :class:`FiniteGroup` in circulation is a genuine group.  G's table and
 the units E(G, n) share :func:`orders_in` and :func:`identity_row`; G's
-table and End(G)'s composition table share Light's test below, and
-:func:`greedy_walk` walks G's table and, as End(G) is searched, End(G)'s
-Cayley graph; the units alone use :func:`is_commutative` (End(G)'s Cayley
-graph decides its own).
+table alone takes Light's test below (End(G)'s table composes maps, which
+associate); :func:`greedy_walk` walks G's table and, as End(G) is searched,
+End(G)'s Cayley graph; the units alone use :func:`is_commutative` (End(G)'s
+Cayley graph decides its own).
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
@@ -22,9 +22,8 @@ for y, y' in T.  T contains the identity, so once it contains a set A
 whose products, grown from the identity, reach every element, T is the
 whole table.  Checking y in A only costs O(n^2 |A|) instead of O(n^3).
 The argument uses no inverses, so it decides associativity of any finite
-table with a two-sided identity, such as the composition table of End(G).
-Commutativity is decided on the same generators: the elements that
-commute with a given x form such a closed set.
+table with a two-sided identity.  Commutativity is decided on the same
+generators: the elements that commute with a given x form such a closed set.
 """
 
 from __future__ import annotations
@@ -331,13 +330,14 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 class AdmissibilityReport:
     """Counts of solutions of x^p = e per prime p | |G|, with verdict.
 
-    G has 1 + s(p - 1) solutions for s subgroups of order p, so a count
-    above p shows more than one subgroup of order p, not a Z/p x Z/p (S3
-    has 4 solutions of x^2 = e).  A failure fails ``check``: rightly at
-    p = 2, since two involutions generate a dihedral group, which acts
-    freely on no sphere, but not always at an odd p: SL(2, 3) acts freely
-    on S^3, yet has 9 solutions of x^3 = e.  ROADMAP item 7 has the exact
-    test.  A pass proves nothing.
+    A prime fails when G has a non-cyclic subgroup of order p^2 or 2p, which
+    no group acting freely on a sphere has.  p = 2 fails when G has two
+    involutions: they generate a dihedral group, holding Z/2 x Z/2 or a D_q.
+    An odd p fails when two commuting elements of order p lie in different
+    cyclic subgroups, a Z/p x Z/p; a count above p alone does not (SL(2, 3)
+    has 9 solutions of x^3 = e and acts freely on S^3).  A pass means that G
+    acts freely on some sphere (Madsen, Thomas and Wall 1976), not that it
+    acts on S^{2n+1}: the period is not checked.
     """
 
     counts: tuple[tuple[int, int], ...]  # (prime, count) pairs
@@ -345,24 +345,26 @@ class AdmissibilityReport:
     failing_primes: tuple[int, ...]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def rank_one_check(g: FiniteGroup) -> AdmissibilityReport:
-    orders = g.element_orders  # x^p = e iff ord(x) divides p
-    counts = tuple((p, sum(p % o == 0 for o in orders)) for p in _prime_divisors(g.order))
-    failing = tuple(p for p, c in counts if c > p)
+    orders, t = g.element_orders, g.table  # x^p = e iff ord(x) divides p
+    # by Cauchy, p divides |G| iff an element has order p; any other order
+    # o > 1 is divisible by a smaller one, that of x^(o/q) for a prime q | o
+    primes: list[int] = []
+    for o in sorted(set(orders) - {1}):
+        if all(o % q for q in primes):
+            primes.append(o)
+    counts = tuple((p, sum(p % o == 0 for o in orders)) for p in primes)
+
+    def fails(p: int, count: int) -> bool:
+        if p == 2:  # two involutions
+            return count > 2
+        if count < p * p:  # a Z/p x Z/p alone holds p^2 solutions of x^p = e
+            return False
+        # some x of order p commutes with one beyond its own p - 1 powers of order p
+        xs = [x for x, o in enumerate(orders) if o == p]
+        return any(sum(t[x][y] == t[y][x] for y in xs) >= p for x in xs)
+
+    failing = tuple(p for p, c in counts if fails(p, c))
     return AdmissibilityReport(counts=counts, passed=not failing, failing_primes=failing)
 
 

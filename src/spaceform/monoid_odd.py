@@ -10,15 +10,13 @@ integers are distinct homotopy classes and the monoid is infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .degree import DegreeHom, build_degree_hom
-from .endomorphisms import Endomorphism, cayley_graph, composition_table
+from .endomorphisms import Endomorphism, cayley_graph
 from .errors import DomainMismatchError, NotRealizableError
-from .groups import (
-    FiniteGroup, as_int, first_nonassociative, greedy_generators, identity_row,
-    is_commutative, orders_in,
-)
+from .groups import FiniteGroup, as_int, identity_row, is_commutative, orders_in
 
 
 @dataclass(frozen=True)
@@ -180,27 +178,24 @@ def monoid_axioms(ctx: MonoidContext) -> str | None:
     """None if M(G, n) is a monoid with identity (id, 1), else a witness.
 
     Degrees multiply as integers, so that holds exactly when (id, 1) is an
-    element and ``composition_table(ctx.group)`` is associative with
-    two-sided identity id; no element is built or multiplied.  The identity
-    comes first, then Light's test (``groups`` docstring) on the table's own
-    greedy generators from id, as in ``groups._check_table``: exact on any
-    table with a left identity.  O(|gens| |End|^2).  Closure of M(G, n) is
-    multiplicativity of d, which ``validate_degree_hom`` decides.
+    element and End(G)'s table composes its maps, which is associative with
+    the identity map as unit.  Every row is derived from the Cayley graph's
+    columns, with row(id) the identity (``endomorphisms`` docstring), so it is
+    enough that id's images are G's elements in order and that each x o t in
+    the columns has x's images at t's, found by whole image array: |End| |T|
+    gathers, no row read.  Closure is d's multiplicativity (validate_degree_hom).
     """
-    ident, d, m = ctx.identity_index, ctx._d, ctx._order
+    end, ident, d, m = ctx._end, ctx.identity_index, ctx._d, ctx._order
     if d[ident] != 1 % m:
         return f"(id, 1) is not an element: d(identity endo {ident}) = {d[ident]} mod {m}"
-    comp = composition_table(ctx.group)
-    for x, (left, row) in enumerate(zip(comp[ident], comp)):
-        if left != x:
-            return f"identity endo {ident} o endo {x} = endo {left}"
-        if row[ident] != x:
-            return f"endo {x} o identity endo {ident} = endo {row[ident]}"
-    triple = first_nonassociative(comp, greedy_generators(comp, ident))
-    if triple is None:
-        return None
-    x, y, z = triple
-    return (
-        f"(endo {x} o endo {y}) o endo {z} = endo {comp[comp[x][y]][z]} "
-        f"!= endo {x} o (endo {y} o endo {z}) = endo {comp[x][comp[y][z]]}"
-    )
+    images = [e.images for e in ctx.endos]
+    if images[ident] != tuple(range(m)):
+        return f"identity endo {ident} has images {list(images[ident])}"
+    lookup = {a: i for i, a in enumerate(images)}
+    for t, col in zip(end.generators, end.columns):
+        at_t = itemgetter(*images[t])  # End(G) has generators only when |G| > 1
+        for x, c in enumerate(col):
+            if (xt := lookup.get(at_t(images[x]))) != c:
+                xt = "an array outside End(G)" if xt is None else f"endo {xt}"
+                return f"endo {x} o endo {t} = endo {c}, but composing their images gives {xt}"
+    return None

@@ -39,6 +39,18 @@ def with_composition(g, comp) -> FiniteGroup:
     return h
 
 
+def with_columns(g, columns) -> FiniteGroup:
+    """A fresh copy of ``g`` whose End(G) Cayley graph reads ``columns``.
+
+    ``columns[i][x]`` stands for x o ``generators[i]``.  The walk's
+    generators and parent edges are kept, so every row the copy gathers
+    is derived from ``columns``, as in ``with_composition`` for rows.
+    """
+    h = FiniteGroup(g.order, g.table, g.name)
+    cayley_graph(h).columns = tuple(map(tuple, columns))
+    return h
+
+
 def brute_force_endomorphisms(g) -> set[tuple[int, ...]]:
     """Enumerate End(G) by backtracking over images of every element.
 

@@ -27,10 +27,10 @@ from spaceform.cli import (
     render_json,
 )
 from spaceform.degree import _law_failures as law_failures
-from spaceform.endomorphisms import composition_table
 from spaceform.errors import GroupSpecError, InputError
 from spaceform.monoid_odd import MonoidContext
-from tests.test_groups import NONASSOC_5
+from tests.conftest import with_columns
+from tests.test_groups import NONASSOC_5, sl23_table
 
 KLEIN_4 = {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
 
@@ -286,6 +286,18 @@ class TestCheckCommand:
         row = json.loads(out)["rows"][0]
         assert (row["suite"], row["passed"]) == ("admissibility", False)
 
+    def test_sl23_passes_admissibility(self, capsys, tmp_path):
+        # SL(2, 3) acts freely on S^3: its four subgroups of order 3 hold no
+        # Z/3 x Z/3; with no d-table the degree-hom row fails instead
+        group = tmp_path / "sl23.json"
+        group.write_text(json.dumps({"order": 24, "table": sl23_table()}))
+        code, out, _ = run(capsys, "check", "--group", f"table:{group}", "--n", "1",
+                           "--format", "json")
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["rows"][0] == {
+            "detail": "counts {2: 2, 3: 9}", "passed": True, "suite": "admissibility"
+        }
+
     def test_q8_with_invalid_table(self, capsys, tmp_path):
         # multiplicativity-violating table: derived from the frozen C_6-style
         # perturbation approach, here simply a non-constant assignment that
@@ -454,13 +466,14 @@ class TestCheckCommand:
             "suite": "monoid-axioms",
         }
 
-    def test_a_non_associative_table_is_named(self, capsys, monkeypatch):
-        def corrupted(g):  # C_4: 0 o 0 -> 2 keeps d(0) = d(2) = 0
-            comp = [list(row) for row in composition_table(g)]
-            comp[0][0] = 2
-            return tuple(map(tuple, comp))
-
-        monkeypatch.setattr(monoid_odd, "composition_table", corrupted)
+    def test_a_non_associative_table_is_named(self, capsys):
+        # C_4 with 0 o 2 -> 2 in End(C_4)'s column of 2: d(0) = d(2) = 0 keeps
+        # d's laws; the kept named group is the one check reads
+        c4 = spaceform.make_cyclic(4)
+        graph = endomorphisms.cayley_graph(c4)
+        columns = [list(col) for col in graph.columns]
+        columns[graph.generators.index(2)][0] = 2
+        NAMED_GROUPS["cyclic", 4] = with_columns(c4, columns)
         code, out, _ = run(capsys, "check", "--group", "cyclic:4", "--n", "1", "--format", "json")
         assert code == EXIT_VALIDATION
         rows = json.loads(out)["rows"]
@@ -468,8 +481,8 @@ class TestCheckCommand:
             "admissibility", "degree-hom", "monoid-axioms", "oracle-cross-check"
         ]
         assert rows[2] == {
-            "detail": "(endo 0 o endo 0) o endo 2 = endo 0 "
-            "!= endo 0 o (endo 0 o endo 2) = endo 2; closure holds in window",
+            "detail": "endo 0 o endo 2 = endo 2, but composing their images gives endo 0; "
+            "closure holds in window",
             "passed": False,
             "suite": "monoid-axioms",
         }

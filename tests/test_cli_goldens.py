@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from spaceform import cli
+from spaceform import cli, endomorphisms
 from spaceform.groups import direct_product, make_cyclic, make_generalized_quaternion
 from tests.test_end_properties import count_composition_tables
 
@@ -183,6 +183,33 @@ def test_q128_monoid_reads_only_the_rows_it_shows(monkeypatch, paths):
     assert code == 0
     assert tables == []
     assert peak < 16 * 2**20
+
+
+def test_q128_check_reads_no_row(monkeypatch, paths):
+    """check decides the monoid axioms off End(Q128)'s Cayley-graph columns:
+    no row but the identity's, which the record holds, is gathered.  Gathering
+    End's whole table for Light's test peaked at 35.4 MB."""
+    tables, contexts = count_composition_tables(monkeypatch), []
+    axioms = cli.monoid_axioms
+
+    def recording(ctx):
+        contexts.append(ctx)
+        return axioms(ctx)
+
+    monkeypatch.setattr(cli, "monoid_axioms", recording)
+    command = "check --group quaternion:128 --n 1 --d-table {q128_ones_n1} --format json"
+    tracemalloc.start()
+    try:
+        code, _, _ = outcome(command, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert tables == []
+    (ctx,) = contexts
+    rows = endomorphisms.cayley_graph(ctx.group).rows
+    assert [x for x, row in enumerate(rows) if row is not None] == [ctx.identity_index]
+    assert peak < 8 * 2**20
 
 
 def test_the_goldens_cover_every_subcommand_format_and_exit_code():

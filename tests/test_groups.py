@@ -3,7 +3,7 @@ import pickle
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spaceform import (
@@ -22,6 +22,7 @@ from spaceform.errors import (
     StructureError,
 )
 from spaceform.groups import group_from_json, is_commutative, load_group
+from tests.test_end_properties import groups
 
 # Latin square with identity 0 that is not associative (an order-5 loop),
 # found by exhaustive search and frozen here.
@@ -246,6 +247,96 @@ class TestRankOneCheck:
     @pytest.mark.parametrize("m", range(1, 25))
     def test_all_cyclic_pass(self, m):
         assert rank_one_check(make_cyclic(m)).passed
+
+
+def sl23_table() -> list[list[int]]:
+    """SL(2, 3): the 2 x 2 matrices over F_3 of determinant 1, as (a, b, c, d)."""
+    mats = [m for m in product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+
+    def mul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return mats.index(
+            ((a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3)
+        )
+
+    return [[mul(x, y) for y in mats] for x in mats]
+
+
+def semidirect_table(m: int, r: int, k: int) -> list[list[int]]:
+    """Z/m x|_r Z/k, b acting by a -> r^b a, on (a, b) encoded a*k + b; r^k = 1 mod m."""
+    def mul(x, y):
+        (a, b), (c, d) = divmod(x, k), divmod(y, k)
+        return (a + pow(r, b, m) * c) % m * k + (b + d) % k
+
+    return [[mul(x, y) for y in range(m * k)] for x in range(m * k)]
+
+
+@st.composite
+def semidirect_groups(draw):
+    """Z/m x|_r Z/k of order <= 40 for any r with r^k = 1 mod m, relabelled."""
+    m, k = draw(
+        st.tuples(st.integers(1, 20), st.integers(1, 20)).filter(lambda mk: mk[0] * mk[1] <= 40)
+    )
+    r = draw(st.sampled_from([r for r in range(m) if pow(r, k, m) == 1 % m]))
+    base, n = semidirect_table(m, r, k), m * k
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[base[x][y]]
+    return make_from_table(table)
+
+
+def small_subgroups_are_cyclic(g) -> bool:
+    """Whether every subgroup of order p^2 or 2p is cyclic.  Each such group is
+    generated by two elements, so the subgroups <x, y> hold all of them."""
+    t, n = g.table, g.order
+
+    def generated(*gens) -> list[int]:
+        sub = [0]
+        for z in sub:  # the list grows while it is walked
+            sub += {t[z][s] for s in gens}.difference(sub)
+        return sub
+
+    for x in range(n):
+        for y in range(x, n):
+            sub = generated(x, y)
+            k = len(sub)
+            p = next((f for f in range(2, k + 1) if k % f == 0), 1)  # least prime
+            q = k // p  # k is p^2 or 2p when q is a prime and q = p or p = 2
+            if q > 1 and all(q % f for f in range(2, q)) and (q == p or p == 2):
+                if not any(len(generated(z)) == k for z in sub):
+                    return False
+    return True
+
+
+class TestExactAdmissibility:
+    """``rank_one_check`` passes exactly when every subgroup of order p^2 or 2p
+    is cyclic (Milnor; Madsen, Thomas and Wall)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(groups(24), semidirect_groups()))
+    @example(make_from_table(semidirect_table(3, 2, 2)))
+    @example(make_from_table(semidirect_table(7, 2, 3)))
+    def test_same_verdict_as_every_pair(self, g):
+        assert rank_one_check(g).passed == small_subgroups_are_cyclic(g)
+
+    @pytest.mark.parametrize(
+        "table, passed",
+        [
+            (sl23_table(), True),
+            (semidirect_table(7, 2, 3), True),
+            (semidirect_table(11, 3, 5), True),
+            (semidirect_table(3, 2, 2), False),
+            (semidirect_table(5, 2, 4), False),
+            (semidirect_table(3, 1, 3), False),
+            (semidirect_table(2, 1, 4), False),
+        ],
+        ids=["SL(2,3)", "C7:C3", "C11:C5", "S3", "C5:C4", "C3xC3", "C2xC4"],
+    )
+    def test_fixed_groups(self, table, passed):
+        g = make_from_table(table)
+        assert rank_one_check(g).passed is small_subgroups_are_cyclic(g) is passed
 
 
 class TestDirectProduct:

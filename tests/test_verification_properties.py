@@ -6,13 +6,15 @@
 - ``check`` decides closure of the window |k| <= 3|G| + 1 from the
   multiplicativity failures of ``validate_degree_hom``; the reference is
   the product of every pair of window elements.
-- ``monoid_odd.monoid_axioms`` decides the axioms from d(id) and
-  ``composition_table(ctx.group)`` by an identity check and Light's test
-  on that table's own greedy generators; the tables, End(G)'s or one
-  corrupted by ``conftest.with_composition``, are read where every
-  context reads them, off the group's Cayley graph.  The reference is
-  d(id) = 1 and every triple of the table, and each witness it returns
-  is checked against the table.
+- ``monoid_odd.monoid_axioms`` decides the axioms from d(id), the
+  identity endomorphism's images and the columns of End(G)'s Cayley graph,
+  each entry x o t checked against x's images at t's; the columns, End(G)'s
+  or one entry corrupted by ``conftest.with_columns``, are read where every
+  context reads them, off the group's record.  The reference is d(id) = 1
+  and the columns of the naive composition of image arrays; a pass also
+  means that ``composition_table`` is that naive table, in which every
+  triple associates, and each witness it returns is checked against the
+  record.
 - ``groups.is_commutative`` compares row and column only for the greedy
   generators, and ``MonoidContext.is_abelian`` only End(G)'s monoid
   generators, pairwise, off the columns of its Cayley graph; the
@@ -32,6 +34,7 @@ The references are written out here and share no code with the package.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -50,12 +53,12 @@ from spaceform import (
     monoid_context,
 )
 from spaceform.degree import DegreeHom, endo_residue, validate_degree_hom
-from spaceform.endomorphisms import composition_table
+from spaceform.endomorphisms import cayley_graph, composition_table
 from spaceform.errors import NotAGroupError, StructureError
-from spaceform.groups import _check_table, greedy_generators, is_commutative
+from spaceform.groups import FiniteGroup, _check_table, greedy_generators, is_commutative
 from spaceform.monoid_odd import MonoidContext, monoid_axioms
-from tests.conftest import with_composition
-from tests.test_end_properties import groups
+from tests.conftest import with_columns
+from tests.test_end_properties import groups, naive_composition_table
 
 PROPERTY = settings(
     max_examples=200,
@@ -273,21 +276,21 @@ def test_generating_set_is_unchanged(g):
 
 @st.composite
 def contexts(draw):
-    """Contexts whose d or composition table may break the monoid laws."""
+    """Contexts whose d or Cayley-graph columns may break the monoid laws."""
     g = draw(st.sampled_from(SMALL_GROUPS))
     n = draw(st.integers(0, 3))
-    comp = [list(row) for row in composition_table(g)]
-    size = len(comp)
-    if draw(st.booleans()):  # one corrupted composition entry
-        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
-        comp[i][j] = draw(st.integers(0, size - 1))
+    columns = [list(col) for col in cayley_graph(g).columns]
+    size = len(enumerate_endomorphisms(g))
+    if columns and draw(st.booleans()):  # one corrupted column entry
+        i, x = draw(st.integers(0, len(columns) - 1)), draw(st.integers(0, size - 1))
+        columns[i][x] = draw(st.integers(0, size - 1))
     if g.cyclic_generator is not None and draw(st.booleans()):
         values = build_degree_hom(g, n).values
     else:  # a DegreeHom that need not be multiplicative, often with d(id) = 1
         values = draw(st.lists(st.integers(0, g.order - 1), min_size=size, max_size=size))
         if draw(st.booleans()):
             values[identity_endomorphism(g).canonical_index] = 1 % g.order
-    h = with_composition(g, comp)
+    h = with_columns(g, columns)
     return MonoidContext(DegreeHom(h, n, tuple(values), "user-supplied"))
 
 
@@ -322,35 +325,50 @@ class TestClosure:
         assert every_pair == (not any(f.law == "multiplicativity" for f in laws))
 
 
-# C_3 with d = 1 and the composition x o y = y: associative, every product
-# valid, but the identity endomorphism is only a left identity
-RIGHT_ZERO = MonoidContext(DegreeHom(
-    with_composition(make_cyclic(3), ((0, 1, 2),) * 3), 1, (1, 1, 1), "user-supplied"
-))
+def user_context(g, values) -> MonoidContext:
+    return MonoidContext(DegreeHom(g, 1, tuple(values), "user-supplied"))
 
-# End(C_5)'s table with rows 2, 3 and 4 changed so that End(C_5)'s monoid
-# generators 0, 2 no longer reach endo 3: Light's test on them passes, and
-# only the table's own greedy generators 0, 2, 3 find its failure
-UNREACHED = monoid_context(with_composition(make_cyclic(5), (
-    (0, 0, 0, 0, 0), (0, 1, 2, 3, 4), (0, 2, 4, 3, 1), (0, 3, 3, 1, 3), (0, 4, 1, 3, 2),
-)), 1)
+
+# C_3 with d = 1 and every column entry x o t = t: lawful for d, but the
+# composition of 0 (x -> 0) with 2 (x -> -x) is 0, not 2
+RIGHT_ZERO = user_context(with_columns(make_cyclic(3), ((0, 0, 0), (2, 2, 2))), (1, 1, 1))
+
+
+def with_record(g, identity: int | None = None, images: dict | None = None):
+    """A fresh copy of ``g`` whose End(G) record names another identity, or
+    holds other image arrays ({index: images}) for some endomorphisms."""
+    h = FiniteGroup(g.order, g.table, g.name)
+    graph = cayley_graph(h)
+    graph.identity = graph.identity if identity is None else identity
+    graph.endos = tuple(
+        dataclasses.replace(e, images=(images or {}).get(i, e.images))
+        for i, e in enumerate(graph.endos)
+    )
+    return h
+
+
+def naive_columns(g) -> tuple[tuple[int, ...], ...]:
+    """The columns x -> x o t of End(G)'s record, t its generators, read off
+    the test-side composition of full image arrays."""
+    naive = naive_composition_table(g, [e.images for e in enumerate_endomorphisms(g)])
+    return tuple(tuple(row[t] for row in naive) for t in cayley_graph(g).generators)
 
 
 def witness_fails(ctx, witness: str) -> bool:
-    """Whether the failure that ``witness`` names holds in ``ctx``'s table and d."""
-    comp, d, i = composition_table(ctx.group), ctx.dhom.values, ctx.identity_index
-    m = ctx.group.order
+    """Whether the failure that ``witness`` names holds in ``ctx``'s record and d."""
+    g, d, i, m = ctx.group, ctx.dhom.values, ctx.identity_index, ctx.group.order
+    images = [e.images for e in enumerate_endomorphisms(g)]
     ints = [int(v) for v in re.findall(r"\d+", witness)]
     if witness.startswith("(id, 1) is not an element: "):
         return ints[1:] == [i, d[i], m] and d[i] != 1 % m
     if witness.startswith("identity endo "):
-        x, c = ints[1:]
-        return ints[0] == i and comp[i][x] == c != x
-    if " o identity endo " in witness:
-        x, _, c = ints
-        return ints[1] == i and comp[x][i] == c != x
-    x, y, z, left, _, _, _, right = ints
-    return ints[4:7] == [x, y, z] and comp[comp[x][y]][z] == left != right == comp[x][comp[y][z]]
+        return ints == [i, *images[i]] and images[i] != tuple(range(m))
+    x, t, c = ints[:3]
+    column = cayley_graph(g).columns[cayley_graph(g).generators.index(t)]
+    composed = tuple(images[x][images[t][y]] for y in range(m))
+    if witness.endswith("gives an array outside End(G)"):
+        return column[x] == c and composed not in images
+    return column[x] == c != ints[3] == images.index(composed)
 
 
 class TestAxiomSuite:
@@ -369,31 +387,31 @@ class TestAxiomSuite:
             assert monoid_axioms(ctx) is None
 
     def test_a_corruption_that_keeps_d_is_reported(self):
-        # Q32 with d = 1 and 54 o 9 -> 22: every product stays valid, and the
-        # 10 000 sampled triples that decided this before met no failure
+        # Q32 with d = 1 and 54 o 3 -> 22 in one column: every product stays
+        # valid, so only the columns show the failure
         q32 = make_generalized_quaternion(32)
-        comp = [list(row) for row in composition_table(q32)]
-        comp[54][9] = 22
-        ctx = monoid_context(with_composition(q32, comp), 1, {i: 1 for i in range(len(comp))})
+        graph = cayley_graph(q32)
+        columns = [list(col) for col in graph.columns]
+        columns[graph.generators.index(3)][54] = 22
+        ones = dict.fromkeys(range(len(graph.endos)), 1)
+        ctx = monoid_context(with_columns(q32, columns), 1, ones)
         witness = monoid_axioms(ctx)
         assert witness is not None
         assert witness_fails(ctx, witness)
 
     def test_each_witness_kind_names_a_real_failure(self):
-        g = make_cyclic(4)
-        comp = [list(row) for row in composition_table(g)]
-        comp[0][0] = 2  # d(0) = d(2) = 0: products stay valid, associativity breaks
+        c3, c4 = make_cyclic(3), make_cyclic(4)
         cases = {
-            "(id, 1) is not an element: d(identity endo 1) = 0 mod 4": MonoidContext(
-                DegreeHom(g, 1, (0,) * 4, "user-supplied")
+            "(id, 1) is not an element: d(identity endo 1) = 0 mod 4": user_context(
+                c4, (0,) * 4
             ),
-            "endo 0 o identity endo 1 = endo 1": RIGHT_ZERO,
-            "(endo 2 o endo 3) o endo 3 = endo 1 != endo 2 o (endo 3 o endo 3) = endo 2": (
-                UNREACHED
+            "identity endo 0 has images [0, 0, 0]": user_context(
+                with_record(c3, identity=0), (1, 1, 1)
             ),
-            "(endo 0 o endo 0) o endo 2 = endo 0 != endo 0 o (endo 0 o endo 2) = endo 2": (
-                monoid_context(with_composition(g, comp), 1)
-            ),
+            "endo 0 o endo 2 = endo 2, but composing their images gives endo 0": RIGHT_ZERO,
+            # 2's images (1, 2, 0), no endomorphism: 2 o 0 has images (1, 1, 1)
+            "endo 2 o endo 0 = endo 0, but composing their images gives an array "
+            "outside End(G)": user_context(with_record(c3, images={2: (1, 2, 0)}), (1, 1, 1)),
         }
         for witness, ctx in cases.items():
             assert monoid_axioms(ctx) == witness
@@ -414,13 +432,19 @@ def every_triple_is_a_monoid(comp, ident) -> bool:
 @PROPERTY
 @given(contexts())
 @example(RIGHT_ZERO)
-@example(UNREACHED)
 def test_exact_decision_agrees_with_every_triple(ctx):
-    comp, ident = composition_table(ctx.group), ctx.identity_index
+    """None exactly when d(id) = 1 and the record's columns are the naive
+    ones; then the table is the naive one, and every triple associates."""
+    g, ident = ctx.group, ctx.identity_index
     witness = monoid_axioms(ctx)
-    d_ident_is_one = ctx.dhom.values[ident] == 1 % ctx.group.order
-    assert (witness is None) == (d_ident_is_one and every_triple_is_a_monoid(comp, ident))
+    d_ident_is_one = ctx.dhom.values[ident] == 1 % g.order
+    columns_are_naive = cayley_graph(g).columns == naive_columns(g)
+    assert (witness is None) == (d_ident_is_one and columns_are_naive)
     assert witness is None or witness_fails(ctx, witness)
+    if witness is None:
+        comp = composition_table(g)
+        assert comp == naive_composition_table(g, [e.images for e in ctx.endos])
+        assert every_triple_is_a_monoid(comp, ident)
 
 
 def commutes_pairwise(table) -> bool:
