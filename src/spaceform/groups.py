@@ -1,18 +1,19 @@
 """Finite groups represented by explicit multiplication tables.
 
 All groups live as immutable Cayley tables with the identity pinned at
-index 0.  Every constructor ends in :func:`_finish`, and every table
-passes through :func:`_check_table` there, the one validator: shape,
-rows that permute, a two-sided identity (relabelled to index 0 when it
-sits elsewhere) and associativity.  The columns then permute too: a
+index 0.  Every constructor ends in :func:`_finish`, the one validator:
+shape, rows that permute and a two-sided identity (:func:`_check_table`,
+the identity relabelled to index 0 when it sits elsewhere), then
+associativity on the group's generators.  The columns then permute too: a
 finite monoid whose left multiplications are bijections is a group, so
 they are scanned only to name the failure of a table that is none.  So
 any :class:`FiniteGroup` in circulation is a genuine group.  G's table and
 the units E(G, n) share :func:`orders_in` and :func:`identity_row`; G's
 table alone takes Light's test below (End(G)'s table composes maps, which
-associate); :func:`greedy_walk` walks G's table and, as End(G) is searched,
-End(G)'s Cayley graph; the units alone use :func:`is_commutative` (End(G)'s
-Cayley graph decides its own).
+associate).  :func:`greedy_walk` finds G's generators, chosen by element
+order so that no labelling of G needs more or larger ones
+(``FiniteGroup.generators``, read by Light's test and the End(G) search),
+and, as End(G) is searched, End(G)'s Cayley graph.
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
 *Algebraic Theory of Semigroups* I, 1961): the set T of elements y with
@@ -22,8 +23,7 @@ for y, y' in T.  T contains the identity, so once it contains a set A
 whose products, grown from the identity, reach every element, T is the
 whole table.  Checking y in A only costs O(n^2 |A|) instead of O(n^3).
 The argument uses no inverses, so it decides associativity of any finite
-table with a two-sided identity.  Commutativity is decided on the same
-generators: the elements that commute with a given x form such a closed set.
+table with a two-sided identity.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def max_order() -> int:
 class FiniteGroup:
     """A finite group: ``table[x][y]`` is the product x*y, identity is 0.
 
-    What is derived from the table (element orders, End(G), ...) is
+    What is derived from the table (element orders, generators, End(G), ...) is
     computed at most once and kept in ``__dict__``, out of ``==`` and hash.
     """
 
@@ -82,6 +82,14 @@ class FiniteGroup:
         return orders_in(self.table, 0)
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """G's generators: :func:`greedy_walk` on the columns, trying elements
+        by decreasing order, ties going to the least index."""
+        orders, t = self.element_orders, self.table
+        by_order = sorted(range(self.order), key=lambda x: (-orders[x], x))
+        return tuple(greedy_walk(by_order, 0, lambda s: [row[s] for row in t])[0])
+
+    @cached_property
     def cyclic_generator(self) -> int | None:
         """Some element of full order, or None if the group is not cyclic."""
         orders = self.element_orders
@@ -92,32 +100,20 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-def is_commutative(table: tuple[tuple[int, ...], ...], ident: int = 0) -> bool:
-    """Whether x*y = y*x for every pair, decided on the greedy generators.
-
-    The table must be associative with two-sided identity ``ident``.  Row s
-    equal to column s for each generator s suffices: the elements that
-    commute with a given x hold the identity and are closed under the
-    product, so they hold every word in the generators.
-    """
-    return all(
-        table[s] == tuple(map(operator.itemgetter(s), table))
-        for s in greedy_generators(table, ident)
-    )
-
-
 def orders_in(table: tuple[tuple[int, ...], ...], ident: int) -> tuple[int, ...]:
     """ord(x) for every x of a group table with identity ``ident``.
 
     One walk x, x^2, ... per cyclic subgroup not yet covered, since
-    ord(x^k) = ord(x) / gcd(k, ord(x)).
+    ord(x^k) = ord(x) / gcd(k, ord(x)).  The powers are taken on the left,
+    x^(k+1) = x*x^k: row x permutes and maps ``ident`` to x, so the walk
+    ends on any table whose rows permute, associative or not.
     """
     orders = [0] * len(table)
     for x in range(len(table)):
         if not orders[x]:
             powers = [x]
             while powers[-1] != ident:
-                powers.append(table[powers[-1]][x])
+                powers.append(table[x][powers[-1]])
             for k, y in enumerate(powers, 1):
                 orders[y] = len(powers) // gcd(k, len(powers))
     return tuple(orders)
@@ -129,15 +125,11 @@ def identity_row(table: tuple[tuple[int, ...], ...]) -> int | None:
     return next((e for e, row in enumerate(table) if row == row_of_identity), None)
 
 
-def greedy_generators(table: tuple[tuple[int, ...], ...], ident: int = 0) -> list[int]:
-    """The generators :func:`greedy_walk` picks on a table's columns."""
-    return greedy_walk(len(table), ident, lambda t: [row[t] for row in table])[0]
-
-
 def greedy_walk(
-    size: int, ident: int, column: Callable[[int], Sequence[int]]
+    candidates: Sequence[int], ident: int, column: Callable[[int], Sequence[int]]
 ) -> tuple[list[int], list[Sequence[int]], list[int], list[tuple[int, int] | None]]:
-    """Greedy generators: repeatedly add the smallest element not yet reached.
+    """Greedy generators: repeatedly add the first of ``candidates``, every
+    element in the order to try them, not yet reached.
 
     ``column(t)`` lists x*t for every x.  An element is reached when it is a
     product (((ident*a1)*a2)*...)*ak of chosen generators; in a finite group
@@ -151,15 +143,15 @@ def greedy_walk(
     their columns, the elements in the order reached, and the edge (x, t)
     that first reached each y = x*t: (ident, t) for a generator t, None for ident.
     """
+    size = len(candidates)
     reached = [False] * size
     reached[ident] = True
     order = [ident]
     parents: list[tuple[int, int] | None] = [None] * size
     steps: list[tuple[int, Sequence[int]]] = []  # (t, column x -> x*t)
-    nxt = 0
+    untried = iter(candidates)
     while len(order) < size:
-        while reached[nxt]:
-            nxt += 1
+        nxt = next(t for t in untried if not reached[t])
         col = column(nxt)
         steps.append((nxt, col))
         fresh = []
@@ -181,11 +173,11 @@ def greedy_walk(
 
 
 def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
-    """Latin square + two-sided identity + associativity, or raise.
+    """Rows that permute and a two-sided identity, or raise.
 
     Returns the index of the identity.  The columns are scanned only when
-    the identity check or Light's test fails, to name a repeated column
-    first (module docstring).
+    the identity check fails, to name a repeated column first (module
+    docstring); :func:`_finish` then runs Light's test.
     """
     n = len(table)
     elems = set(range(n))
@@ -199,11 +191,6 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
     if ident is None or any(row[ident] != x for x, row in enumerate(table)):
         _check_columns(table)
         raise NotAGroupError("table has no two-sided identity")
-    # Light's test (module docstring) decides and names the triple it found
-    if triple := first_nonassociative(table, greedy_generators(table, ident)):
-        _check_columns(table)
-        x, y, z = triple
-        raise NotAGroupError(f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})")
     return ident
 
 
@@ -219,8 +206,9 @@ def first_nonassociative(
 ) -> tuple[int, int, int] | None:
     """A triple (x, y, z) with (x*y)*z != x*(y*z), or None if there is none.
 
-    Light's test (module docstring), y in ``gens`` only: the table's
-    ``greedy_generators`` from a two-sided identity.  Compares whole rows:
+    Light's test (module docstring), y in ``gens`` only: elements whose
+    products, grown from a two-sided identity, reach every element, such as
+    ``FiniteGroup.generators``.  Compares whole rows:
     row (x*y) against row x gathered at row y.
     """
     # a table with one element has no generators, so each gather gives a tuple
@@ -246,13 +234,18 @@ def _finish(table: tuple[tuple[int, ...], ...], name: str) -> FiniteGroup:
         raise InvalidOrderError("a group must have at least one element")
     _check_cap(n)
     ident = _check_table(table)
-    if ident != 0:
-        perm = list(range(n))
-        perm[0], perm[ident] = ident, 0  # swap labels 0 <-> identity
-        table = tuple(
-            tuple(perm[table[perm[x]][perm[y]]] for y in range(n)) for x in range(n)
-        )
-    return FiniteGroup(order=n, table=table, name=name)
+    perm = list(range(n))
+    perm[0], perm[ident] = ident, 0  # swap labels 0 <-> identity
+    relabelled = table if ident == 0 else tuple(
+        tuple(perm[table[perm[x]][perm[y]]] for y in range(n)) for x in range(n)
+    )
+    g = FiniteGroup(order=n, table=relabelled, name=name)
+    # Light's test (module docstring) on G's generators, in the table's own labels
+    if triple := first_nonassociative(table, [perm[s] for s in g.generators]):
+        _check_columns(table)
+        x, y, z = triple
+        raise NotAGroupError(f"associativity fails at ({x}*{y})*{z} != {x}*({y}*{z})")
+    return g
 
 
 def make_cyclic(m: int) -> FiniteGroup:

@@ -16,7 +16,7 @@ from typing import Iterator
 from .degree import DegreeHom, build_degree_hom
 from .endomorphisms import Endomorphism, cayley_graph
 from .errors import DomainMismatchError, NotRealizableError
-from .groups import FiniteGroup, as_int, identity_row, is_commutative, orders_in
+from .groups import FiniteGroup, as_int, identity_row, orders_in
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,9 @@ class EquivalenceGroup:
         return orders_in(self.table, self.identity_position())
 
     def is_abelian(self) -> bool:
-        return is_commutative(self.table, self.identity_position())
+        """Whether the table equals its transpose (it is built in full already)."""
+        t = self.table
+        return all(r == c for r, c in zip(t, zip(*t)))
 
 
 class MonoidContext:

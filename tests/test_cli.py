@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -30,6 +31,7 @@ from spaceform.degree import _law_failures as law_failures
 from spaceform.errors import GroupSpecError, InputError
 from spaceform.monoid_odd import MonoidContext
 from tests.conftest import with_columns
+from tests.test_end_properties import relabel
 from tests.test_groups import NONASSOC_5, sl23_table
 
 KLEIN_4 = {"order": 4, "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]}
@@ -565,6 +567,22 @@ class TestEndSearchBound:
             assert (code, out) == (EXIT_INPUT, "")
             assert f"would search {64 ** 6} candidate generator images" in err
         assert time.perf_counter() - start < 10
+
+    def test_a_relabelled_q128_is_searched_like_the_named_group(self, capsys, tmp_path):
+        """Q128 relabelled by ``random.Random(3).shuffle``: its generators are
+        chosen by element order, so its 2 generators have 8704 candidate images."""
+        q128 = spaceform.make_generalized_quaternion(128)
+        perm = list(range(128))
+        random.Random(3).shuffle(perm)
+        group, ones = tmp_path / "q128r.json", tmp_path / "q128_ones.json"
+        group.write_text(json.dumps({"table": relabel(q128, perm)}))
+        ones.write_text(json.dumps({"n": 1, "values": {str(i): 1 for i in range(2052)}}))
+        code, out, err = run(
+            capsys, "monoid", "--group", f"table:{group}", "--n", "1",
+            "--d-table", str(ones), "--format", "json",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["endomorphisms"] == 2052
 
 
 class TestOrderCapBeforeTheTable:

@@ -1,19 +1,22 @@
 """Fuzz the command line: every call of ``cli.main`` ends in exit 0, 1 or 2.
 
 Each example draws a subcommand, a format, ``--n``, ``--window`` and
-``--max-order``, a group and a d-table.  A group is a ``cyclic:k`` or
-``quaternion:k`` spec, possibly far over the order cap, or a table file:
-a group of order <= 16 relabelled with its identity anywhere, a Latin
-square that is mostly no group, or a group table with one entry turned
-into a float, a bool, a string or a huge int.  A d-table is absent, all
-ones, has one entry corrupted or of the wrong type, or has the key
-``"04"``.  An exit 3 (an internal error) or a call slower than
-``SECONDS`` fails.
+``--max-order``, a group, a d-table and sometimes ``--out``.  A group is a
+``cyclic:k`` or ``quaternion:k`` spec, possibly far over the order cap, or
+a table file: a group of order <= 16 relabelled with its identity
+anywhere, a relabelled C_m, Q_4k or product of two of them up to the order
+cap, a Latin square that is mostly no group, or a group table with one
+entry turned into a float, a bool, a string or a huge int.  A d-table is
+absent, all ones, has one entry corrupted or of the wrong type, or has the
+key ``"04"``.  An exit 3 (an internal error) or a call slower than
+``SECONDS`` fails, and so does an exit 0 with ``--out`` whose file does
+not hold what the same call without ``--out`` prints.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import time
@@ -22,9 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spaceform import direct_product, make_cyclic, make_generalized_quaternion
 from spaceform.cli import main, parse_group_spec
 from spaceform.endomorphisms import enumerate_endomorphisms
-from tests.test_end_properties import base_groups
+from spaceform.errors import SizeCapError
+from spaceform.groups import DEFAULT_MAX_ORDER, FiniteGroup
+from tests.test_end_properties import base_groups, relabel
 from tests.test_groups import NONASSOC_5
 
 SECONDS = 5
@@ -38,12 +44,40 @@ SPECS = st.builds("{}:{}".format, st.sampled_from(["cyclic", "quaternion"]), ORD
 def relabelled_tables(draw) -> list[list[int]]:
     """A group of order <= 16 whose identity may sit at any index."""
     g = draw(base_groups(16))
-    perm = draw(st.permutations(range(g.order)))
-    table = [[0] * g.order for _ in range(g.order)]
-    for x in range(g.order):
-        for y in range(g.order):
-            table[perm[x]][perm[y]] = perm[g.table[x][y]]
-    return table
+    return relabel(g, draw(st.permutations(range(g.order))))
+
+
+def factors(max_order: int):
+    """C_m or Q_4k of order <= ``max_order``, as its constructor and order."""
+    cyclic = st.tuples(st.just(make_cyclic), st.integers(1, max_order))
+    if max_order < 8:
+        return cyclic
+    quaternion = st.tuples(
+        st.just(make_generalized_quaternion), st.sampled_from(range(8, max_order + 1, 4))
+    )
+    return st.one_of(cyclic, quaternion)
+
+
+@functools.cache
+def searched_once(parts: tuple) -> tuple[FiniteGroup, int | None]:
+    """The product of ``parts`` and |End| (None if the search is refused),
+    built and searched once per process."""
+    g = functools.reduce(direct_product, (make(order) for make, order in parts))
+    try:
+        return g, len(enumerate_endomorphisms(g))
+    except SizeCapError:
+        return g, None
+
+
+@st.composite
+def relabelled_large_tables(draw) -> tuple[list[list[int]], int | None]:
+    """C_m, Q_4k or a product of two of them, up to the order cap, relabelled,
+    and |End|."""
+    parts = (draw(factors(DEFAULT_MAX_ORDER)),)
+    if draw(st.booleans()):
+        parts += (draw(factors(DEFAULT_MAX_ORDER // parts[0][1])),)
+    g, size = searched_once(parts)
+    return relabel(g, draw(st.permutations(range(g.order)))), size
 
 
 @st.composite
@@ -64,8 +98,11 @@ def mistyped_tables(draw) -> list:
     return table
 
 
+# a table and |End| when known (None: search the file, it is small)
 TABLES = st.one_of(
-    relabelled_tables(), latin_squares(), st.just(NONASSOC_5), mistyped_tables()
+    st.one_of(relabelled_tables(), latin_squares(), st.just(NONASSOC_5), mistyped_tables())
+    .map(lambda table: (table, None)),
+    relabelled_large_tables(),
 )
 
 
@@ -126,42 +163,50 @@ def command_lines(draw, workdir) -> list[str]:
         argv += ["--max-order", str(cap)]
     if command in WITH_GROUP:
         if draw(st.booleans()):
-            spec = draw(SPECS)
+            spec, size = draw(SPECS), None
         else:
-            group = {"table": draw(TABLES)}
+            table, size = draw(TABLES)
+            group = {"table": table}
             if draw(st.booleans()):
-                group["order"] = len(group["table"])
+                group["order"] = len(table)
             path = workdir / "group.json"
             path.write_text(json.dumps(group))
             spec = f"table:{path}"
         argv += ["--group", spec]
-        dtable = draw(dtables(end_size(spec), n))
+        dtable = draw(dtables(end_size(spec) if size is None else size, n))
         if dtable is not None:
             path = workdir / "dtable.json"
             path.write_text(json.dumps(dtable))
             argv += ["--d-table", str(path)]
     if command == "degrees":
         argv += [str(k) for k in draw(st.lists(st.integers(-100, 100), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        argv += ["--out", str(workdir / "out.txt")]
     return argv
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stderr of one ``cli.main`` call; argparse's refusal exits 2."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``cli.main`` call; argparse's
+    refusal exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_command_line_ends_in_a_verdict(workdir, default_cap, data):
     argv = data.draw(command_lines(workdir), label="argv")
+    out_file = workdir / "out.txt"
+    out_file.unlink(missing_ok=True)
     start = time.perf_counter()
-    code, err = run(argv)
+    code, _, err = run(argv)
     elapsed = time.perf_counter() - start
     assert code in (0, 1, 2), err
     assert elapsed < SECONDS
+    if "--out" in argv and code == 0:
+        assert run(argv[:-2]) == (0, out_file.read_bytes().decode(), "")

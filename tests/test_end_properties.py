@@ -12,6 +12,7 @@ no code with ``spaceform.endomorphisms``.
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import weakref
 from itertools import product
@@ -36,7 +37,7 @@ from spaceform import (
 from spaceform import endomorphisms
 from spaceform.degree import DegreeHom
 from spaceform.errors import InvalidTableError, NotAHomomorphismError, SizeCapError
-from spaceform.groups import greedy_generators, greedy_walk
+from spaceform.groups import greedy_walk
 from tests.conftest import brute_force_endomorphisms
 from tests.test_degree import independent_law_check
 
@@ -60,16 +61,21 @@ def base_groups(max_order: int):
     return st.one_of(cyclic, quaternion, products)
 
 
+def relabel(g, perm) -> list[list[int]]:
+    """G's table under new labels: new[perm[x]][perm[y]] = perm[x*y]."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    return table
+
+
 @st.composite
 def relabelled(draw, base):
     """A group drawn from ``base``, given by a table whose identity is not at index 0."""
     g = draw(base.filter(lambda g: g.order > 1))
     perm = draw(st.permutations(range(g.order)).filter(lambda p: p[0] != 0))
-    table = [[0] * g.order for _ in range(g.order)]
-    for x in range(g.order):
-        for y in range(g.order):
-            table[perm[x]][perm[y]] = perm[g.table[x][y]]
-    return make_from_table(table)
+    return make_from_table(relabel(g, perm))
 
 
 def groups(max_order: int):
@@ -99,19 +105,14 @@ def search_groups():
 def exhaustive_search(g) -> tuple[list[tuple[int, ...]] | None, int]:
     """End(G) as found by extending every candidate, and the number of candidates.
 
-    The search without orbits: every image of the greedy generators whose
-    order divides its generator's is extended along the right Cayley graph
-    and kept if no edge conflicts.  Returns the sorted image arrays, or None
-    in their place when the candidates are more than ``MAX_CANDIDATES``.
+    The search without orbits: every image of the generators, chosen by the
+    order rule, whose order divides its generator's is extended along the
+    right Cayley graph and kept if no edge conflicts.  Returns the sorted
+    image arrays, or None in their place when the candidates are more than
+    ``MAX_CANDIDATES``.
     """
     t, n = g.table, g.order
-    gens = naive_greedy_generators(t, 0)
-
-    def order(y: int) -> int:
-        k, acc = 1, y
-        while acc != 0:
-            acc, k = t[acc][y], k + 1
-        return k
+    gens = naive_greedy_generators(t, 0, by_order(t))
 
     def extend(imgs: tuple[int, ...]) -> tuple[int, ...] | None:
         phi = {0: 0}
@@ -126,7 +127,7 @@ def exhaustive_search(g) -> tuple[list[tuple[int, ...]] | None, int]:
                     return None
         return tuple(phi[x] for x in range(n))
 
-    orders = [order(y) for y in range(n)]
+    orders = [naive_order(t, y) for y in range(n)]
     candidates = [[y for y in range(n) if orders[s] % orders[y] == 0] for s in gens]
     count = prod(map(len, candidates))
     if count > endomorphisms.MAX_CANDIDATES:
@@ -195,8 +196,8 @@ def test_enumeration_equals_backtracking(g):
 def test_orbit_search_equals_exhaustive_search(g):
     images, count = exhaustive_search(g)
     if images is None:
-        # A relabelling can make the greedy generators many, as on some
-        # tables of C8 x C8 or Q64: the search is then refused before it starts.
+        # A relabelling can make the generators many, as on some tables of
+        # C8 x C8 or Q8 x C8: the search is then refused before it starts.
         with pytest.raises(SizeCapError, match=f"would search {count} candidate"):
             enumerate_endomorphisms(g)
         return
@@ -358,9 +359,25 @@ def test_corrupted_q32_keeps_its_witness(index, value, witness, count, last):
     assert (failures[-1].law, failures[-1].witness) == last
 
 
-def naive_greedy_generators(table, ident: int) -> list[int]:
-    """The smallest element outside the closure of {ident} under o s, for s chosen
-    so far, recomputing that closure from scratch after every choice."""
+def naive_order(table, y: int) -> int:
+    """ord(y) in a group table with identity 0, by multiplying up its powers."""
+    k, acc = 1, y
+    while acc != 0:
+        acc, k = table[acc][y], k + 1
+    return k
+
+
+def by_order(table):
+    """The order rule's key on a group table with identity 0: the largest
+    order first, ties going to the least index."""
+    orders = [naive_order(table, y) for y in range(len(table))]
+    return lambda y: (-orders[y], y)
+
+
+def naive_greedy_generators(table, ident: int, key=None) -> list[int]:
+    """The least element by ``key`` (by index when None) outside the closure of
+    {ident} under o s, for s chosen so far, recomputing that closure from
+    scratch after every choice."""
     gens: list[int] = []
     while True:
         reached, todo = {ident}, [ident]
@@ -372,28 +389,35 @@ def naive_greedy_generators(table, ident: int) -> list[int]:
                     todo.append(row[s])
         if len(reached) == len(table):
             return gens
-        gens.append(min(set(range(len(table))) - reached))
+        gens.append(min(set(range(len(table))) - reached, key=key))
 
 
 @PROPERTY
 @given(groups(24), st.data())
 def test_greedy_generators_equal_naive_closure(g, data):
-    assert greedy_generators(g.table) == naive_greedy_generators(g.table, 0)
+    assert list(g.generators) == naive_greedy_generators(g.table, 0, by_order(g.table))
     # the same group with its identity moved off index 0
     perm = data.draw(st.permutations(range(g.order)))
-    table = [[0] * g.order for _ in range(g.order)]
-    for x in range(g.order):
-        for y in range(g.order):
-            table[perm[x]][perm[y]] = perm[g.table[x][y]]
-    assert greedy_generators(table, perm[0]) == naive_greedy_generators(table, perm[0])
+    table = relabel(g, perm)
+    assert table_walk_generators(table, perm[0]) == naive_greedy_generators(table, perm[0])
+    h = make_from_table(table)
+    assert list(h.generators) == naive_greedy_generators(h.table, 0, by_order(h.table))
     comp = endomorphisms.composition_table(g)
     ident = endomorphisms.identity_endomorphism(g).canonical_index
-    assert greedy_generators(comp, ident) == naive_greedy_generators(comp, ident)
+    assert table_walk_generators(comp, ident) == naive_greedy_generators(comp, ident)
 
 
-def check_greedy_walk(table, ident: int) -> tuple:
-    """``greedy_walk`` on a table's columns against the table itself; returns the walk."""
-    walk = greedy_walk(len(table), ident, lambda t: [row[t] for row in table])
+def table_walk_generators(table, ident: int) -> list[int]:
+    """The generators ``greedy_walk`` picks on a table's columns, trying the
+    elements in index order, as End(G)'s walk does."""
+    return greedy_walk(range(len(table)), ident, lambda t: [row[t] for row in table])[0]
+
+
+def check_greedy_walk(table, ident: int, key=None) -> tuple:
+    """``greedy_walk`` on a table's columns, trying the elements in ``key``
+    order, against the table itself; returns the walk."""
+    candidates = sorted(range(len(table)), key=key)
+    walk = greedy_walk(candidates, ident, lambda t: [row[t] for row in table])
     gens, columns, order, parents = walk
     assert sorted(order) == list(range(len(table))) and order[0] == ident
     assert parents[ident] is None
@@ -404,19 +428,16 @@ def check_greedy_walk(table, ident: int) -> tuple:
         assert place[x] < place[y]
         assert column[t][x] == table[x][t] == y
         assert (x == ident) == (y in gens)  # a generator's edge is (ident, t)
-    assert gens == naive_greedy_generators(table, ident)
+    assert gens == naive_greedy_generators(table, ident, key)
     return walk
 
 
 @PROPERTY
 @given(groups(24), st.data())
 def test_greedy_walk_records_an_edge_into_each_element(g, data):
-    check_greedy_walk(g.table, 0)
+    assert tuple(check_greedy_walk(g.table, 0, by_order(g.table))[0]) == g.generators
     perm = data.draw(st.permutations(range(g.order)))  # the identity moved to perm[0]
-    table = [[0] * g.order for _ in range(g.order)]
-    for x in range(g.order):
-        for y in range(g.order):
-            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    table = relabel(g, perm)
     check_greedy_walk(table, perm[0])
     comp = endomorphisms.composition_table(g)
     ident = endomorphisms.identity_endomorphism(g).canonical_index
@@ -431,7 +452,7 @@ def test_greedy_walk_records_an_edge_into_each_element(g, data):
 def test_the_table_walk_records_the_greedy_monoid_generators(g):
     comp = endomorphisms.composition_table(g)
     ident = endomorphisms.identity_endomorphism(g).canonical_index
-    gens = tuple(greedy_generators(comp, ident))
+    gens = tuple(table_walk_generators(comp, ident))
     assert endomorphisms.cayley_graph(g).generators == gens
 
 
@@ -454,7 +475,7 @@ def test_composition_table_on_hard_shapes(monkeypatch, g, end_gens):
     assert searches == []  # the closure walk is no End(G) search
     assert comp == naive_composition_table(g, images)
     ident = images.index(tuple(range(g.order)))
-    gens = greedy_generators(comp, ident)
+    gens = table_walk_generators(comp, ident)
     assert len(gens) == end_gens
     assert gens == naive_greedy_generators(comp, ident)
     assert endomorphisms.cayley_graph(g).generators == tuple(gens)
@@ -462,8 +483,8 @@ def test_composition_table_on_hard_shapes(monkeypatch, g, end_gens):
 
 def searched(g) -> list:
     """End(G) of a drawn group; a draw whose search is refused is rejected
-    (a relabelling can make the greedy generators many, as on some tables
-    of C8 x C8 or Q64)."""
+    (a relabelling can make the generators many, as on some tables of
+    C8 x C8 or Q8 x C8)."""
     try:
         return enumerate_endomorphisms(g)
     except SizeCapError:
@@ -609,15 +630,16 @@ def test_builtin_context_builds_no_composition_table(monkeypatch):
 
 
 def count_end_searches(monkeypatch) -> list:
-    """Log each End(G) search: every search starts from ``greedy_generators``."""
-    real = endomorphisms.greedy_generators
+    """Log each End(G) search: every search walks G's Cayley graph once, by
+    ``_cayley_edges``."""
+    real = endomorphisms._cayley_edges
     calls = []
 
-    def counting(table):
-        calls.append(table)
-        return real(table)
+    def counting(g, gens):
+        calls.append(g)
+        return real(g, gens)
 
-    monkeypatch.setattr(endomorphisms, "greedy_generators", counting)
+    monkeypatch.setattr(endomorphisms, "_cayley_edges", counting)
     return calls
 
 
@@ -660,7 +682,7 @@ def test_end_and_its_cayley_graph_are_one_record_walked_once(monkeypatch, make, 
     walks = []
 
     def counting(*args):
-        walks.append(args[0])
+        walks.append(len(args[0]))
         return real(*args)
 
     monkeypatch.setattr(endomorphisms, "greedy_walk", counting)
@@ -673,6 +695,59 @@ def test_end_and_its_cayley_graph_are_one_record_walked_once(monkeypatch, make, 
     contexts[1].is_abelian()
     endomorphisms.composition_table(g)
     assert walks == [len(record.endos)]
+
+
+def test_g_is_walked_for_generators_once(monkeypatch):
+    """G's walk, when the group is built, serves Light's test and the End(G)
+    search; End(G)'s walk serves its Cayley graph.  No other walk is made."""
+    walks = []
+
+    def counting(*args):
+        walks.append(args)
+        return greedy_walk(*args)
+
+    monkeypatch.setattr("spaceform.groups.greedy_walk", counting)
+    monkeypatch.setattr(endomorphisms, "greedy_walk", counting)
+    ctx = monoid_context(make_cyclic(12), 1)
+    ctx.equivalence_group().is_abelian()
+    ctx.is_abelian()
+    assert len(walks) == 2
+
+
+def end_and_aut(g) -> tuple[int, int]:
+    endos = enumerate_endomorphisms(g)
+    return len(endos), sum(e.is_automorphism for e in endos)
+
+
+@pytest.mark.parametrize("order, seed, counts", [(64, 5, (516, 512)), (128, 3, (2052, 2048))])
+def test_a_relabelled_quaternion_table_is_searched_like_the_named_group(order, seed, counts):
+    """Tables that a least-index choice of generators sent over the candidate
+    cap (3 317 760 and 47 349 760 candidates)."""
+    q = make_generalized_quaternion(order)
+    perm = list(range(order))
+    random.Random(seed).shuffle(perm)
+    g = make_from_table(relabel(q, perm))
+    assert len(g.generators) == 2
+    assert end_and_aut(g) == end_and_aut(q) == counts
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    st.one_of(
+        st.integers(1, 64).map(make_cyclic),
+        st.sampled_from(range(8, 65, 4)).map(make_generalized_quaternion),
+        st.just(direct_product(make_generalized_quaternion(8), make_cyclic(3))),
+    ),
+    st.data(),
+)
+def test_relabelled_space_forms_are_searched_like_the_named_group(g, data):
+    """Never refused by the candidate cap, and the same |End| and |Aut|."""
+    h = make_from_table(relabel(g, data.draw(st.permutations(range(g.order)))))
+    assert end_and_aut(h) == end_and_aut(g)
+    if g.name.startswith("C"):
+        assert len(h.generators) == (g.order > 1)
+    elif g.name.startswith("Q") and "x" not in g.name:
+        assert len(h.generators) == 2
 
 
 def test_equal_groups_do_not_share_end():

@@ -21,7 +21,7 @@ from spaceform.errors import (
     SizeCapError,
     StructureError,
 )
-from spaceform.groups import group_from_json, is_commutative, load_group
+from spaceform.groups import group_from_json, load_group
 from tests.test_end_properties import groups
 
 # Latin square with identity 0 that is not associative (an order-5 loop),
@@ -33,6 +33,12 @@ NONASSOC_5 = [
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
 ]
+
+
+def is_commutative(table) -> bool:
+    """Whether x*y = y*x for every pair of the table."""
+    return all(row[y] == table[y][x] for x, row in enumerate(table) for y in range(x))
+
 
 KLEIN_4 = [
     [0, 1, 2, 3],

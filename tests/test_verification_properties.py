@@ -1,7 +1,7 @@
 """Property tests for the exact checks that replaced brute-force scans.
 
-- ``groups._check_table`` decides associativity by Light's test over a
-  greedy generating set; the reference is the O(n^3) scan it replaced,
+- ``groups._finish`` decides associativity by Light's test over the
+  group's generators; the reference is the O(n^3) scan it replaced,
   and the triple it names must really fail.
 - ``check`` decides closure of the window |k| <= 3|G| + 1 from the
   multiplicativity failures of ``validate_degree_hom``; the reference is
@@ -15,12 +15,12 @@
   means that ``composition_table`` is that naive table, in which every
   triple associates, and each witness it returns is checked against the
   record.
-- ``groups.is_commutative`` compares row and column only for the greedy
-  generators, and ``MonoidContext.is_abelian`` only End(G)'s monoid
-  generators, pairwise, off the columns of its Cayley graph; the
-  reference compares every pair, on group tables, End(G) tables and
-  unit-group tables.
-- ``groups._check_table`` scans the columns only to name a failure; the
+- ``MonoidContext.is_abelian`` compares only End(G)'s monoid generators,
+  pairwise, off the columns of its Cayley graph, and
+  ``EquivalenceGroup.is_abelian`` compares the unit group's table with its
+  transpose; the reference compares every pair, on End(G) tables and
+  unit-group tables, the identity anywhere.
+- ``groups._finish`` scans the columns only to name a failure; the
   reference is the full check, on tables whose rows permute but whose
   columns need not.
 - ``MonoidContext.equivalence_group`` reads products off End(G)'s rows,
@@ -55,10 +55,15 @@ from spaceform import (
 from spaceform.degree import DegreeHom, endo_residue, validate_degree_hom
 from spaceform.endomorphisms import cayley_graph, composition_table
 from spaceform.errors import NotAGroupError, StructureError
-from spaceform.groups import FiniteGroup, _check_table, greedy_generators, is_commutative
-from spaceform.monoid_odd import MonoidContext, monoid_axioms
+from spaceform.groups import FiniteGroup, _check_table, _finish
+from spaceform.monoid_odd import EquivalenceGroup, MonoidContext, monoid_axioms
 from tests.conftest import with_columns
-from tests.test_end_properties import groups, naive_composition_table
+from tests.test_end_properties import (
+    by_order,
+    groups,
+    naive_composition_table,
+    table_walk_generators,
+)
 
 PROPERTY = settings(
     max_examples=200,
@@ -153,6 +158,13 @@ def loops(draw):
     return draw(st.sampled_from([product_table(loop, group), product_table(group, loop)]))
 
 
+def lights_test(table) -> int:
+    """The validator that runs Light's test, ``groups._finish``; returns the
+    identity's index, as ``_check_table`` finds it."""
+    _finish(table, "")
+    return _check_table(table)
+
+
 def verdict(check, table):
     try:
         return ("group", check(table))
@@ -163,7 +175,7 @@ def verdict(check, table):
 
 
 # a loop whose lexicographically first failing triple, (0*2)*0, is not the
-# one Light's test meets first, (0*4)*0: 2 is no greedy generator
+# one Light's test meets first, (0*4)*0: 2 is not among G's generators
 LOOP_6 = (
     (2, 0, 3, 5, 1, 4),
     (0, 1, 2, 3, 4, 5),
@@ -186,7 +198,7 @@ class TestLightsTest:
     @given(loops())
     @example(LOOP_6)
     def test_same_verdict_as_the_full_scan_and_a_failing_triple(self, table):
-        got = verdict(_check_table, table)
+        got = verdict(lights_test, table)
         assert got[0] == verdict(brute_force_check_table, table)[0]
         assert got[0] == "group" or named_triple_fails(table, got[1])
 
@@ -194,7 +206,7 @@ class TestLightsTest:
         assert verdict(brute_force_check_table, LOOP_6)[1].startswith(
             "associativity fails at (0*2)*0"
         )
-        assert verdict(_check_table, LOOP_6) == (
+        assert verdict(lights_test, LOOP_6) == (
             "not a group", "associativity fails at (0*4)*0 != 0*(4*0)"
         )
 
@@ -216,7 +228,7 @@ class TestLightsTest:
                 row[at], row[ident] = row[ident], x
             table.append(tuple(row))
         want = verdict(brute_force_check_table, tuple(table))
-        got = verdict(_check_table, tuple(table))
+        got = verdict(lights_test, tuple(table))
         assert got[0] == want[0]
         assert got == want or got[0] == "not a group"  # Light may name another triple
 
@@ -230,12 +242,14 @@ class TestLightsTest:
         assert verdicts == {"group", "not a group"}
 
 
-def old_generating_set(g) -> list[int]:
-    """The greedy generating set before the shared routine: two-sided closure."""
+def old_generating_set(g, key=None) -> list[int]:
+    """The generating set by two-sided closure, as before the shared routine,
+    each next generator the least outside the closure by ``key`` (by index
+    when None)."""
     gens: list[int] = []
     closure = {0}
     while len(closure) < g.order:
-        x = min(set(range(g.order)) - closure)
+        x = min(set(range(g.order)) - closure, key=key)
         gens.append(x)
         frontier = [x]
         closure.add(x)
@@ -251,9 +265,10 @@ def old_generating_set(g) -> list[int]:
 
 @st.composite
 def dihedral_groups(draw):
-    """D_n from a relabelled table, so the greedy generators may be two
-    reflections: then the product of the cyclic subgroups they generate is
-    not the whole group, and the closure must keep applying every generator."""
+    """D_n from a relabelled table, so the generators tried in index order
+    may be two reflections: then the product of the cyclic subgroups they
+    generate is not the whole group, and the closure must keep applying every
+    generator."""
     n = draw(st.integers(3, 8))
 
     def mul(a: int, b: int) -> int:  # r^i s^f encoded as f*n + i
@@ -271,7 +286,10 @@ def dihedral_groups(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(groups(32), dihedral_groups()))
 def test_generating_set_is_unchanged(g):
-    assert greedy_generators(g.table) == old_generating_set(g)
+    """G's generators by the order rule, and the walk in index order as
+    End(G)'s walk makes it."""
+    assert list(g.generators) == old_generating_set(g, by_order(g.table))
+    assert table_walk_generators(g.table, 0) == old_generating_set(g)
 
 
 @st.composite
@@ -448,7 +466,7 @@ def test_exact_decision_agrees_with_every_triple(ctx):
 
 
 def commutes_pairwise(table) -> bool:
-    """The scan is_commutative replaced: x*y = y*x for every pair."""
+    """x*y = y*x for every pair."""
     return all(row[y] == table[y][x] for x, row in enumerate(table) for y in range(x))
 
 
@@ -464,22 +482,25 @@ class TestCommutativity:
     @PROPERTY
     @given(groups(24), st.integers(0, 3))
     def test_same_answer_as_every_pair(self, g, n):
-        assert is_commutative(g.table) == commutes_pairwise(g.table)
         ctx = ones_context(g, n)
         assert ctx.is_abelian() == commutes_pairwise(composition_table(g))
         eg = ctx.equivalence_group()
         assert eg.is_abelian() == commutes_pairwise(eg.table)
 
     @PROPERTY
-    @given(groups(24), st.data())
-    def test_the_identity_may_sit_anywhere(self, g, data):
-        perm = data.draw(st.permutations(range(g.order)))
-        table = [[0] * g.order for _ in range(g.order)]
-        for x in range(g.order):
-            for y in range(g.order):
-                table[perm[x]][perm[y]] = perm[g.table[x][y]]
-        table = tuple(map(tuple, table))
-        assert is_commutative(table, perm[0]) == commutes_pairwise(table)
+    @given(groups(24), st.integers(0, 3), st.data())
+    def test_the_identity_may_sit_anywhere(self, g, n, data):
+        """The unit group with its elements listed in a drawn order."""
+        eg = ones_context(g, n).equivalence_group()
+        perm = data.draw(st.permutations(range(eg.order)))
+        table = [[0] * eg.order for _ in range(eg.order)]
+        elements = [None] * eg.order
+        for x in range(eg.order):
+            elements[perm[x]] = eg.elements[x]
+            for y in range(eg.order):
+                table[perm[x]][perm[y]] = perm[eg.table[x][y]]
+        moved = EquivalenceGroup(tuple(elements), tuple(map(tuple, table)))
+        assert moved.is_abelian() == commutes_pairwise(moved.table) == eg.is_abelian()
 
     def test_both_answers_occur(self):
         # End(C_m) is Z/m under multiplication; End(C2 x C2) holds 2x2 matrices
