@@ -1,15 +1,15 @@
 """Exhaustive enumeration of End(G) and Aut(G) over Cayley-table groups.
 
 An endomorphism is fixed by its images on a generating set S, G's own
-(``FiniteGroup.generators``, chosen by element order), so the search runs
-over generator images only: |G|^|S| candidates instead of |G|^|G|, minus
-every candidate image whose order does not divide the order of its
-generator.  A candidate is extended by a breadth-first walk of the right
-Cayley graph from phi(0) = 0, checking phi(x*s) = phi(x)*phi(s) on every
-edge (x, s) with s in S.  Those |G|*|S| edge checks imply the
-homomorphism law on all of G x G (Holt, Eick & O'Brien, Handbook of
-Computational Group Theory, ch. 2-3).  The candidates are counted first,
-and a search above :data:`MAX_CANDIDATES` is refused before it starts.
+(``FiniteGroup.generators``), so the search runs over generator images
+only: |G|^|S| candidates instead of |G|^|G|, minus every candidate image
+whose order does not divide the order of its generator.  A candidate is
+extended by a breadth-first walk of the right Cayley graph from phi(0) =
+0, checking phi(x*s) = phi(x)*phi(s) on every edge (x, s) with s in S.
+Those |G|*|S| edge checks imply the homomorphism law on all of G x G
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 2-3).
+The candidates are counted first, and a search above
+:data:`MAX_CANDIDATES` is refused before it starts.
 
 Most candidates are decided without being extended.  For an automorphism
 a, a o phi is an endomorphism exactly when phi is one (phi is
@@ -29,8 +29,8 @@ candidate has two images or more.
 
 Composition is keyed the same way: a o b is found by its images on S,
 a(b(s)).  Once End(G) is found, its right Cayley graph is walked from the
-identity by :func:`groups.greedy_walk`, trying the endomorphisms in index
-order, finding End(G)'s greedy monoid generators T.  A column x -> x o t
+identity by :func:`groups.greedy_walk` adding the least unreached index,
+finding End(G)'s greedy monoid generators T.  A column x -> x o t
 costs, per x, one gather of x's images at t's generator images and one
 ``index`` lookup: |End| |T| lookups, no composition table.  The walk keeps
 each element's parent edge (p, t), x = p o t, and the columns, from which
@@ -62,9 +62,8 @@ from .errors import DomainMismatchError, SizeCapError
 from .groups import FiniteGroup, _check_cap, greedy_walk
 
 # The End(G) search refuses more candidate generator images than this.  No
-# group that acts freely on a sphere within the order cap comes near it,
-# however its table is labelled, as G's generators are chosen by element
-# order (Q128 has 8.7e3); C2^6, which acts freely on none, has 6.9e10.
+# group that acts freely on a sphere within the order cap comes near it
+# (Q128 has 8.7e3); C2^6, which acts freely on none, has 6.9e10.
 MAX_CANDIDATES = 10**6
 
 
@@ -144,7 +143,8 @@ class _EndData:
             key = _tuple_getter(tuple(images[t][s] for s in gens))
             return [index[key(x)] for x in images]
 
-        generators, columns, order, self._parents = greedy_walk(range(len(images)), ident, column)
+        walk = greedy_walk(len(images), ident, column, lambda reached: reached.index(False))
+        generators, columns, order, self._parents = walk
         self.generators = tuple(generators)
         self.columns = tuple(map(tuple, columns))
         self.walk_order = tuple(order)

@@ -10,9 +10,8 @@ they are scanned only to name the failure of a table that is none.  So
 any :class:`FiniteGroup` in circulation is a genuine group.  G's table and
 the units E(G, n) share :func:`orders_in` and :func:`identity_row`; G's
 table alone takes Light's test below (End(G)'s table composes maps, which
-associate).  :func:`greedy_walk` finds G's generators, chosen by element
-order so that no labelling of G needs more or larger ones
-(``FiniteGroup.generators``, read by Light's test and the End(G) search),
+associate).  :func:`greedy_walk` finds G's generators
+(``FiniteGroup.generators``, read by Light's test and the End(G) search)
 and, as End(G) is searched, End(G)'s Cayley graph.
 
 Associativity is decided exactly by Light's test (Clifford & Preston,
@@ -83,11 +82,23 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """G's generators: :func:`greedy_walk` on the columns, trying elements
-        by decreasing order, ties going to the least index."""
+        """G's generators by :func:`greedy_walk` on the columns: next, the unreached
+        x whose least k with x^k in the subgroup H reached so far is largest, then
+        the least order (fewest End(G) candidates), then the least index."""
         orders, t = self.element_orders, self.table
-        by_order = sorted(range(self.order), key=lambda x: (-orders[x], x))
-        return tuple(greedy_walk(by_order, 0, lambda s: [row[s] for row in t])[0])
+
+        def pick(reached: list[bool]) -> int:
+            first = reached.count(True) == 1  # H = {0}: k is ord(x), read off the orders
+
+            def key(x: int) -> tuple[int, int, int]:
+                k, y = (orders[x], 0) if first else (1, x)  # y = x^k
+                while not reached[y]:
+                    k, y = k + 1, t[x][y]
+                return -k, orders[x], x
+
+            return min((x for x, r in enumerate(reached) if not r), key=key)
+
+        return tuple(greedy_walk(self.order, 0, lambda s: [row[s] for row in t], pick)[0])
 
     @cached_property
     def cyclic_generator(self) -> int | None:
@@ -126,10 +137,9 @@ def identity_row(table: tuple[tuple[int, ...], ...]) -> int | None:
 
 
 def greedy_walk(
-    candidates: Sequence[int], ident: int, column: Callable[[int], Sequence[int]]
+    size: int, ident: int, column: Callable[[int], Sequence[int]], pick: Callable[[list], int]
 ) -> tuple[list[int], list[Sequence[int]], list[int], list[tuple[int, int] | None]]:
-    """Greedy generators: repeatedly add the first of ``candidates``, every
-    element in the order to try them, not yet reached.
+    """Greedy generators: repeatedly add ``pick(reached)``, an unreached element.
 
     ``column(t)`` lists x*t for every x.  An element is reached when it is a
     product (((ident*a1)*a2)*...)*ak of chosen generators; in a finite group
@@ -143,15 +153,13 @@ def greedy_walk(
     their columns, the elements in the order reached, and the edge (x, t)
     that first reached each y = x*t: (ident, t) for a generator t, None for ident.
     """
-    size = len(candidates)
     reached = [False] * size
     reached[ident] = True
     order = [ident]
     parents: list[tuple[int, int] | None] = [None] * size
     steps: list[tuple[int, Sequence[int]]] = []  # (t, column x -> x*t)
-    untried = iter(candidates)
     while len(order) < size:
-        nxt = next(t for t in untried if not reached[t])
+        nxt = pick(reached)
         col = column(nxt)
         steps.append((nxt, col))
         fresh = []
@@ -173,11 +181,9 @@ def greedy_walk(
 
 
 def _check_table(table: tuple[tuple[int, ...], ...]) -> int:
-    """Rows that permute and a two-sided identity, or raise.
-
-    Returns the index of the identity.  The columns are scanned only when
-    the identity check fails, to name a repeated column first (module
-    docstring); :func:`_finish` then runs Light's test.
+    """Rows that permute and a two-sided identity, or raise; returns the
+    identity's index.  The columns are scanned only when the identity check
+    fails, to name a repeated column first; :func:`_finish` runs Light's test.
     """
     n = len(table)
     elems = set(range(n))
@@ -206,10 +212,9 @@ def first_nonassociative(
 ) -> tuple[int, int, int] | None:
     """A triple (x, y, z) with (x*y)*z != x*(y*z), or None if there is none.
 
-    Light's test (module docstring), y in ``gens`` only: elements whose
-    products, grown from a two-sided identity, reach every element, such as
-    ``FiniteGroup.generators``.  Compares whole rows:
-    row (x*y) against row x gathered at row y.
+    Light's test (module docstring), y in ``gens`` only, which must generate
+    the table from a two-sided identity, as ``FiniteGroup.generators`` does.
+    Compares whole rows: row (x*y) against row x gathered at row y.
     """
     # a table with one element has no generators, so each gather gives a tuple
     gathers = [(y, operator.itemgetter(*table[y])) for y in gens]

@@ -38,9 +38,7 @@ class EquivalenceGroup:
         return orders_in(self.table, self.identity_position())
 
     def is_abelian(self) -> bool:
-        """Whether the table equals its transpose (it is built in full already)."""
-        t = self.table
-        return all(r == c for r, c in zip(t, zip(*t)))
+        return all(r == c for r, c in zip(self.table, zip(*self.table)))  # built in full
 
 
 class MonoidContext:

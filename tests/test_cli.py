@@ -569,8 +569,8 @@ class TestEndSearchBound:
         assert time.perf_counter() - start < 10
 
     def test_a_relabelled_q128_is_searched_like_the_named_group(self, capsys, tmp_path):
-        """Q128 relabelled by ``random.Random(3).shuffle``: its generators are
-        chosen by element order, so its 2 generators have 8704 candidate images."""
+        """Q128 relabelled by ``random.Random(3).shuffle``: its 2 generators have
+        8704 candidate images, as the named group's have."""
         q128 = spaceform.make_generalized_quaternion(128)
         perm = list(range(128))
         random.Random(3).shuffle(perm)

@@ -5,12 +5,13 @@ Each example draws a subcommand, a format, ``--n``, ``--window`` and
 ``cyclic:k`` or ``quaternion:k`` spec, possibly far over the order cap, or
 a table file: a group of order <= 16 relabelled with its identity
 anywhere, a relabelled C_m, Q_4k or product of two of them up to the order
-cap, a Latin square that is mostly no group, or a group table with one
-entry turned into a float, a bool, a string or a huge int.  A d-table is
-absent, all ones, has one entry corrupted or of the wrong type, or has the
-key ``"04"``.  An exit 3 (an internal error) or a call slower than
-``SECONDS`` fails, and so does an exit 0 with ``--out`` whose file does
-not hold what the same call without ``--out`` prints.
+cap whose calls take well under ``SECONDS``, a Latin square that is mostly
+no group, or a group table with one entry turned into a float, a bool, a
+string or a huge int.  A d-table is absent, all ones, has one entry
+corrupted or of the wrong type, or has the key ``"04"``.  An exit 3 (an
+internal error) or a call slower than ``SECONDS`` fails, and so does an
+exit 0 with ``--out`` whose file does not hold what the same call without
+``--out`` prints.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ import functools
 import io
 import json
 import time
+from math import prod
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spaceform import direct_product, make_cyclic, make_generalized_quaternion
 from spaceform.cli import main, parse_group_spec
-from spaceform.endomorphisms import enumerate_endomorphisms
-from spaceform.errors import SizeCapError
+from spaceform.endomorphisms import MAX_CANDIDATES, enumerate_endomorphisms
 from spaceform.groups import DEFAULT_MAX_ORDER, FiniteGroup
 from tests.test_end_properties import base_groups, relabel
 from tests.test_groups import NONASSOC_5
@@ -38,6 +39,11 @@ COMMANDS = ["monoid", "equiv", "even", "degrees", "check", "census"]
 WITH_GROUP = {"monoid", "equiv", "degrees", "check"}
 ORDERS = st.one_of(st.integers(-2, 40), st.sampled_from([129, 1000, 10**12]))
 SPECS = st.builds("{}:{}".format, st.sampled_from(["cyclic", "quaternion"]), ORDERS)
+# A drawn product with more candidate generator images than this takes up to
+# 2 s to search (C4 x Q32, 819 200), and one with more automorphisms makes
+# ``equiv`` with an all-ones d-table print a Cayley table of |Aut|^2 entries
+# (Q128: 2048^2, 2.8 s as JSON); neither is drawn.
+SEARCHED, UNITS = 10**5, 1024
 
 
 @st.composite
@@ -59,14 +65,19 @@ def factors(max_order: int):
 
 
 @functools.cache
-def searched_once(parts: tuple) -> tuple[FiniteGroup, int | None]:
+def searched_once(parts: tuple) -> tuple[FiniteGroup, int | None] | None:
     """The product of ``parts`` and |End| (None if the search is refused),
-    built and searched once per process."""
+    built and searched once per process; None for a product with more than
+    ``SEARCHED`` candidates below the cap or more than ``UNITS`` automorphisms."""
     g = functools.reduce(direct_product, (make(order) for make, order in parts))
-    try:
-        return g, len(enumerate_endomorphisms(g))
-    except SizeCapError:
+    orders = g.element_orders
+    count = prod(sum(orders[s] % o == 0 for o in orders) for s in g.generators)
+    if count > MAX_CANDIDATES:
         return g, None
+    if count > SEARCHED:
+        return None
+    endos = enumerate_endomorphisms(g)
+    return (g, len(endos)) if sum(e.is_automorphism for e in endos) <= UNITS else None
 
 
 @st.composite
@@ -76,7 +87,9 @@ def relabelled_large_tables(draw) -> tuple[list[list[int]], int | None]:
     parts = (draw(factors(DEFAULT_MAX_ORDER)),)
     if draw(st.booleans()):
         parts += (draw(factors(DEFAULT_MAX_ORDER // parts[0][1])),)
-    g, size = searched_once(parts)
+    found = searched_once(parts)
+    assume(found is not None)
+    g, size = found
     return relabel(g, draw(st.permutations(range(g.order)))), size
 
 

@@ -106,13 +106,13 @@ def exhaustive_search(g) -> tuple[list[tuple[int, ...]] | None, int]:
     """End(G) as found by extending every candidate, and the number of candidates.
 
     The search without orbits: every image of the generators, chosen by the
-    order rule, whose order divides its generator's is extended along the
-    right Cayley graph and kept if no edge conflicts.  Returns the sorted
-    image arrays, or None in their place when the candidates are more than
-    ``MAX_CANDIDATES``.
+    rule of ``FiniteGroup.generators``, whose order divides its generator's
+    is extended along the right Cayley graph and kept if no edge conflicts.
+    Returns the sorted image arrays, or None in their place when the
+    candidates are more than ``MAX_CANDIDATES``.
     """
     t, n = g.table, g.order
-    gens = naive_greedy_generators(t, 0, by_order(t))
+    gens = naive_greedy_generators(t, 0, by_powers_outside(t))
 
     def extend(imgs: tuple[int, ...]) -> tuple[int, ...] | None:
         phi = {0: 0}
@@ -196,8 +196,8 @@ def test_enumeration_equals_backtracking(g):
 def test_orbit_search_equals_exhaustive_search(g):
     images, count = exhaustive_search(g)
     if images is None:
-        # A relabelling can make the generators many, as on some tables of
-        # C8 x C8 or Q8 x C8: the search is then refused before it starts.
+        # Ties between generators go to the least index, so a relabelling
+        # could make them many: the search is then refused before it starts.
         with pytest.raises(SizeCapError, match=f"would search {count} candidate"):
             enumerate_endomorphisms(g)
         return
@@ -367,17 +367,25 @@ def naive_order(table, y: int) -> int:
     return k
 
 
-def by_order(table):
-    """The order rule's key on a group table with identity 0: the largest
-    order first, ties going to the least index."""
+def by_powers_outside(table):
+    """The rule for G's generators on a group table with identity 0, as a key
+    on y outside the subgroup H reached so far: the most powers y, y^2, ...
+    outside H first, then the least order, then the least index."""
     orders = [naive_order(table, y) for y in range(len(table))]
-    return lambda y: (-orders[y], y)
+
+    def key(reached: set, y: int) -> tuple[int, int, int]:
+        k, acc = 1, y
+        while acc not in reached:
+            acc, k = table[acc][y], k + 1
+        return -k, orders[y], y
+
+    return key
 
 
 def naive_greedy_generators(table, ident: int, key=None) -> list[int]:
-    """The least element by ``key`` (by index when None) outside the closure of
-    {ident} under o s, for s chosen so far, recomputing that closure from
-    scratch after every choice."""
+    """The least element by ``key(reached, y)`` (by index when None) outside
+    the closure of {ident} under o s, for s chosen so far, recomputing that
+    closure from scratch after every choice."""
     gens: list[int] = []
     while True:
         reached, todo = {ident}, [ident]
@@ -389,19 +397,26 @@ def naive_greedy_generators(table, ident: int, key=None) -> list[int]:
                     todo.append(row[s])
         if len(reached) == len(table):
             return gens
-        gens.append(min(set(range(len(table))) - reached, key=key))
+        gens.append(least_outside(len(table), reached, key))
+
+
+def least_outside(size: int, reached: set, key=None) -> int:
+    """The least y of 0..size-1 outside ``reached`` by ``key(reached, y)``,
+    by index when None."""
+    rest = set(range(size)) - reached
+    return min(rest, key=lambda y: key(reached, y)) if key else min(rest)
 
 
 @PROPERTY
 @given(groups(24), st.data())
 def test_greedy_generators_equal_naive_closure(g, data):
-    assert list(g.generators) == naive_greedy_generators(g.table, 0, by_order(g.table))
+    assert list(g.generators) == naive_greedy_generators(g.table, 0, by_powers_outside(g.table))
     # the same group with its identity moved off index 0
     perm = data.draw(st.permutations(range(g.order)))
     table = relabel(g, perm)
     assert table_walk_generators(table, perm[0]) == naive_greedy_generators(table, perm[0])
     h = make_from_table(table)
-    assert list(h.generators) == naive_greedy_generators(h.table, 0, by_order(h.table))
+    assert list(h.generators) == naive_greedy_generators(h.table, 0, by_powers_outside(h.table))
     comp = endomorphisms.composition_table(g)
     ident = endomorphisms.identity_endomorphism(g).canonical_index
     assert table_walk_generators(comp, ident) == naive_greedy_generators(comp, ident)
@@ -410,14 +425,20 @@ def test_greedy_generators_equal_naive_closure(g, data):
 def table_walk_generators(table, ident: int) -> list[int]:
     """The generators ``greedy_walk`` picks on a table's columns, trying the
     elements in index order, as End(G)'s walk does."""
-    return greedy_walk(range(len(table)), ident, lambda t: [row[t] for row in table])[0]
+    return greedy_walk(
+        len(table), ident, lambda t: [row[t] for row in table], lambda r: r.index(False)
+    )[0]
 
 
 def check_greedy_walk(table, ident: int, key=None) -> tuple:
-    """``greedy_walk`` on a table's columns, trying the elements in ``key``
-    order, against the table itself; returns the walk."""
-    candidates = sorted(range(len(table)), key=key)
-    walk = greedy_walk(candidates, ident, lambda t: [row[t] for row in table])
+    """``greedy_walk`` on a table's columns, picking the least element by
+    ``key(reached, y)`` (by index when None), against the table itself;
+    returns the walk."""
+
+    def pick(reached: list[bool]) -> int:
+        return least_outside(len(table), {y for y, r in enumerate(reached) if r}, key)
+
+    walk = greedy_walk(len(table), ident, lambda t: [row[t] for row in table], pick)
     gens, columns, order, parents = walk
     assert sorted(order) == list(range(len(table))) and order[0] == ident
     assert parents[ident] is None
@@ -435,7 +456,7 @@ def check_greedy_walk(table, ident: int, key=None) -> tuple:
 @PROPERTY
 @given(groups(24), st.data())
 def test_greedy_walk_records_an_edge_into_each_element(g, data):
-    assert tuple(check_greedy_walk(g.table, 0, by_order(g.table))[0]) == g.generators
+    assert tuple(check_greedy_walk(g.table, 0, by_powers_outside(g.table))[0]) == g.generators
     perm = data.draw(st.permutations(range(g.order)))  # the identity moved to perm[0]
     table = relabel(g, perm)
     check_greedy_walk(table, perm[0])
@@ -483,8 +504,8 @@ def test_composition_table_on_hard_shapes(monkeypatch, g, end_gens):
 
 def searched(g) -> list:
     """End(G) of a drawn group; a draw whose search is refused is rejected
-    (a relabelling can make the generators many, as on some tables of
-    C8 x C8 or Q8 x C8)."""
+    (ties between generators go to the least index, so a relabelling could
+    make them many)."""
     try:
         return enumerate_endomorphisms(g)
     except SizeCapError:
@@ -682,7 +703,7 @@ def test_end_and_its_cayley_graph_are_one_record_walked_once(monkeypatch, make, 
     walks = []
 
     def counting(*args):
-        walks.append(len(args[0]))
+        walks.append(args[0])
         return real(*args)
 
     monkeypatch.setattr(endomorphisms, "greedy_walk", counting)
@@ -748,6 +769,59 @@ def test_relabelled_space_forms_are_searched_like_the_named_group(g, data):
         assert len(h.generators) == (g.order > 1)
     elif g.name.startswith("Q") and "x" not in g.name:
         assert len(h.generators) == 2
+
+
+def candidates(g, gens) -> int:
+    """The End(G) search's candidate count on generators ``gens``: per
+    generator, the elements whose order divides its own."""
+    orders = g.element_orders
+    return prod(sum(orders[s] % o == 0 for o in orders) for s in gens)
+
+
+C, Q = make_cyclic, make_generalized_quaternion
+# products whose generators, taken by largest order alone, exceed the cap
+# (C2 x Q64: 1 179 648 candidates), and C12 x C8 (884 736); with |End| and
+# |Aut| where the search takes well under a second
+PRODUCTS = [
+    (C(2), Q(64), (8256, 4096)),
+    (Q(64), C(2), (8256, 4096)),
+    (C(4), Q(32), None),
+    (Q(32), C(4), None),
+    (C(8), Q(16), None),
+    (Q(16), C(8), None),
+    (C(14), Q(8), (3136, 1152)),
+    (Q(8), C(14), (3136, 1152)),
+    (C(16), Q(8), None),
+    (Q(8), C(16), (5120, 1536)),
+    (C(12), C(8), (1536, 256)),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, counts", PRODUCTS, ids=[f"{a.name}x{b.name}" for a, b, _ in PRODUCTS]
+)
+def test_a_product_needs_no_more_candidates_than_by_index(a, b, counts):
+    """G's generators never cost more candidates than the least-index rule's,
+    which keeps each of these under the cap: none is refused."""
+    g = direct_product(a, b)
+    by_index = candidates(g, naive_greedy_generators(g.table, 0))
+    assert candidates(g, g.generators) <= by_index <= endomorphisms.MAX_CANDIDATES
+    if counts:
+        assert end_and_aut(g) == counts
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_named_products_need_no_more_candidates_than_by_index(data):
+    """C_m or Q_4k times C_m or Q_4k, up to order 128."""
+    factor = st.one_of(
+        st.integers(1, 64).map(make_cyclic),
+        st.sampled_from(range(8, 65, 4)).map(make_generalized_quaternion),
+    )
+    a = data.draw(factor)
+    b = data.draw(factor.filter(lambda b: a.order * b.order <= 128))
+    g = direct_product(a, b)
+    assert candidates(g, g.generators) <= candidates(g, naive_greedy_generators(g.table, 0))
 
 
 def test_equal_groups_do_not_share_end():

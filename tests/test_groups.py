@@ -22,7 +22,8 @@ from spaceform.errors import (
     StructureError,
 )
 from spaceform.groups import group_from_json, load_group
-from tests.test_end_properties import groups
+from tests.test_end_properties import candidates, end_and_aut, groups, relabel
+from tests.test_verification_properties import commutes_pairwise
 
 # Latin square with identity 0 that is not associative (an order-5 loop),
 # found by exhaustive search and frozen here.
@@ -33,11 +34,6 @@ NONASSOC_5 = [
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
 ]
-
-
-def is_commutative(table) -> bool:
-    """Whether x*y = y*x for every pair of the table."""
-    return all(row[y] == table[y][x] for x, row in enumerate(table) for y in range(x))
 
 
 KLEIN_4 = [
@@ -67,7 +63,7 @@ class TestMakeCyclic:
 
     @pytest.mark.parametrize("m", range(1, 20))
     def test_cyclic_is_abelian(self, m):
-        assert is_commutative(make_cyclic(m).table)
+        assert commutes_pairwise(make_cyclic(m).table)
 
 
 class TestMakeFromTable:
@@ -77,7 +73,7 @@ class TestMakeFromTable:
 
     def test_accepts_klein_four(self):
         g = make_from_table(KLEIN_4)
-        assert is_commutative(g.table)
+        assert commutes_pairwise(g.table)
         assert all(g.element_orders[x] <= 2 for x in range(4))
 
     def test_identity_relocated_to_zero(self):
@@ -195,7 +191,7 @@ class TestSingleValidator:
 class TestGeneralizedQuaternion:
     def test_q8(self, q8):
         assert q8.order == 8
-        assert not is_commutative(q8.table)
+        assert not commutes_pairwise(q8.table)
         assert sum(1 for x in range(8) if q8.element_orders[x] == 2) == 1
 
     def test_invalid_orders(self):
@@ -211,7 +207,7 @@ class TestGeneralizedQuaternion:
     @pytest.mark.parametrize("order", [8, 12, 16, 20, 24])
     def test_family_nonabelian_with_unique_involution(self, order):
         g = make_generalized_quaternion(order)
-        assert not is_commutative(g.table)
+        assert not commutes_pairwise(g.table)
         assert sum(1 for x in range(order) if g.element_orders[x] == 2) == 1
 
 
@@ -343,6 +339,24 @@ class TestExactAdmissibility:
     def test_fixed_groups(self, table, passed):
         g = make_from_table(table)
         assert rank_one_check(g).passed is small_subgroups_are_cyclic(g) is passed
+
+
+SPACE_FORMS = [
+    make_from_table(sl23_table()),
+    direct_product(make_from_table(sl23_table()), make_cyclic(5)),
+    make_from_table(semidirect_table(7, 2, 9)),
+    make_from_table(semidirect_table(5, 4, 8)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SPACE_FORMS), st.data())
+def test_relabelled_space_forms_need_the_same_candidates(g, data):
+    """SL(2, 3), SL(2, 3) x C5, C7:C9 and C5:C8, which act freely on S^3, under
+    any labels: the same number of End(G) candidates, |End| and |Aut|."""
+    h = make_from_table(relabel(g, data.draw(st.permutations(range(g.order)))))
+    assert candidates(h, h.generators) == candidates(g, g.generators)
+    assert end_and_aut(h) == end_and_aut(g)
 
 
 class TestDirectProduct:
